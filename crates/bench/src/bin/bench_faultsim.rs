@@ -340,7 +340,8 @@ fn main() {
     }
     // The shared `--serial` / `--threads N` knobs (with the usual
     // malformed-value diagnostics) instead of a private parse.
-    let parallel_threads: usize = cli_thread_budget().unwrap_or_else(rayon::current_num_threads);
+    let parallel_threads: usize =
+        cli_thread_budget().unwrap_or_else(lbist_exec::current_num_threads);
     let out_path: String = arg_value("--out").unwrap_or_else(|| "BENCH_faultsim.json".to_string());
     let metrics_out = cli_metrics_out();
     // Fault-tolerance knobs, validated before the (expensive) core

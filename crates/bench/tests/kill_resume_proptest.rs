@@ -1,7 +1,8 @@
 //! Property test: killing a grading run at any batch boundary and
 //! resuming from its checkpoint is bit-identical to never having been
 //! killed — detected sets, coverage, and accumulated MISR signatures —
-//! across randomly generated cores, chain counts, and kill points.
+//! across randomly generated cores, chain counts, kill points, and both
+//! fault models (the session runs them through one controlled loop).
 //!
 //! The deterministic kill point is the per-invocation batch budget
 //! ([`RunControl::with_budget`]); the core crate's unit tests cover
@@ -11,7 +12,7 @@
 use lbist_core::{CheckpointSpec, RunControl, RunStatus, StumpsConfig, WideGradingSession};
 use lbist_cores::{CoreProfile, CpuCoreGenerator};
 use lbist_dft::{prepare_core, PrepConfig, TpiMethod};
-use lbist_fault::FaultUniverse;
+use lbist_fault::{CaptureWindow, Fault, FaultUniverse};
 use lbist_sim::CompiledCircuit;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -30,6 +31,7 @@ proptest! {
         gen_seed in 0u64..512,
         chains in 3usize..7,
         kill_after in 0u64..4,
+        transition in any::<bool>(),
     ) {
         let netlist =
             CpuCoreGenerator::new(CoreProfile::core_x().scaled(800), gen_seed).generate();
@@ -43,23 +45,40 @@ proptest! {
             },
         );
         let cc = CompiledCircuit::compile(&core.netlist).unwrap();
-        let faults = FaultUniverse::stuck_at(&core.netlist).representatives();
+        let faults: Vec<Fault> = if transition {
+            FaultUniverse::transition(&core.netlist)
+                .representatives()
+                .into_iter()
+                .filter(|f| f.is_stem())
+                .collect()
+        } else {
+            FaultUniverse::stuck_at(&core.netlist).representatives()
+        };
+        let window = CaptureWindow::all_domains(core.netlist.num_domains().max(1));
         let batches = 4usize;
+        let run = |session: &mut WideGradingSession<'_, u64>, control: &RunControl| {
+            if transition {
+                session.run_transition_controlled(faults.clone(), window.clone(), batches, control)
+            } else {
+                session.run_stuck_at_controlled(faults.clone(), batches, control)
+            }
+            .unwrap()
+        };
 
         // Uninterrupted reference, parallel.
         let mut reference: WideGradingSession<'_, u64> =
             WideGradingSession::new(&core, &cc, &StumpsConfig::default());
         reference.set_threads(2);
-        let want = reference.run_stuck_at(faults.clone(), batches);
+        let want = run(&mut reference, &RunControl::new()).outcome;
 
         // Killed run: budget = kill point, checkpointing every batch.
-        let path = scratch_path(&format!("s{gen_seed}-c{chains}-k{kill_after}"));
+        let path = scratch_path(&format!("s{gen_seed}-c{chains}-k{kill_after}-t{transition}"));
         let mut kill = RunControl::with_budget(kill_after);
         kill.checkpoint = Some(CheckpointSpec::new(path.clone(), 1));
         let mut killed: WideGradingSession<'_, u64> =
             WideGradingSession::new(&core, &cc, &StumpsConfig::default());
         killed.set_threads(2);
-        let partial = killed.run_stuck_at_controlled(faults.clone(), batches, &kill).unwrap();
+        let partial = run(&mut killed, &kill);
         prop_assert_eq!(partial.status, RunStatus::BudgetExhausted);
         prop_assert_eq!(partial.batches_done, kill_after);
 
@@ -70,8 +89,7 @@ proptest! {
         let mut resumed_session: WideGradingSession<'_, u64> =
             WideGradingSession::new(&core, &cc, &StumpsConfig::default());
         resumed_session.set_threads(2);
-        let resumed =
-            resumed_session.run_stuck_at_controlled(faults.clone(), batches, &resume).unwrap();
+        let resumed = run(&mut resumed_session, &resume);
         std::fs::remove_file(&path).ok();
 
         prop_assert_eq!(resumed.status, RunStatus::Completed);

@@ -1,11 +1,10 @@
 //! The lane-width-generic grading pipeline: PRPG fill → bit-parallel
 //! fault simulation → detection → MISR signature compaction, end to
-//! end at 64, 128 or 256 lanes per pass.
+//! end at 64, 128, 256 or 512 lanes per pass.
 //!
-//! PR 4 made pattern *generation* width-generic; this module closes the
-//! loop on the grade side. A [`WideGradingSession`] owns the STUMPS
-//! architecture and drives whole self-test random phases through the
-//! width-generic engines:
+//! A [`WideGradingSession`] owns the STUMPS architecture and drives
+//! whole self-test random phases through one controlled batch loop,
+//! shared by both fault models:
 //!
 //! * **Fill** — [`crate::fill_wide_frame_from_prpg`] packs `W::LANES`
 //!   consecutive scan loads into one wide frame, fed to the graders
@@ -15,16 +14,16 @@
 //!   architecture's PRPG state, the grader only the simulator and the
 //!   current frame, so the overlap cannot change results (enforced by
 //!   test against the unpipelined loop).
-//! * **Grade** — [`lbist_fault::WideStuckAtSim`] /
-//!   [`lbist_fault::WideTransitionSim`] at the same `W`.
+//! * **Grade** — [`lbist_fault::FaultSim`] at the same `W`, under the
+//!   stuck-at or the transition model.
 //! * **Compact** — each batch's fault-free responses unload through the
 //!   domain's [`SpaceCompactor`] (word-level) into a [`LaneMisr`] bank;
 //!   the per-lane signatures fold into one accumulated signature per
 //!   domain. Linearity of the MISR makes the accumulated signature
-//!   **width-invariant**: 64-, 128- and 256-lane runs over the same
-//!   pattern stream produce bit-identical signatures (property-tested
-//!   in the bench crate), so a signature regression caught at 256
-//!   lanes is a real regression, not a width artifact.
+//!   **width-invariant**: 64-, 128-, 256- and 512-lane runs over the
+//!   same pattern stream produce bit-identical signatures
+//!   (property-tested in the bench crate), so a signature regression
+//!   caught at 512 lanes is a real regression, not a width artifact.
 
 use crate::architecture::{StumpsArchitecture, StumpsConfig};
 use crate::checkpoint::{
@@ -35,7 +34,8 @@ use lbist_ckpt::CkptError;
 use lbist_dft::BistReadyCore;
 use lbist_exec::LaneWord;
 use lbist_fault::{
-    CaptureWindow, CoverageReport, Fault, SimPhaseMetrics, WideStuckAtSim, WideTransitionSim,
+    CaptureWindow, CoverageReport, Fault, FaultModel, FaultSim, SimPhaseMetrics, WideStuckAtSim,
+    WideTransitionSim,
 };
 use lbist_netlist::NodeId;
 use lbist_obs::{Counter, Histogram, Registry};
@@ -409,12 +409,55 @@ impl<'a, W: LaneWord> WideGradingSession<'a, W> {
         batches: usize,
         control: &RunControl,
     ) -> Result<ControlledGradingOutcome, CkptError> {
-        let faults_hash = faults_fingerprint(&faults);
+        let observed = lbist_fault::StuckAtSim::observe_all_captures(self.cc);
+        let sim: WideStuckAtSim<'_, W> = WideStuckAtSim::new(self.cc, faults, observed);
+        self.run_controlled(sim, ModelTag::StuckAt, batches, control)
+    }
+
+    /// Grades `batches` random-phase batches against `faults` under the
+    /// launch-on-capture transition model across `window`, compacting
+    /// each batch's fault-free end-of-window flip-flop states into the
+    /// per-domain signatures.
+    pub fn run_transition(
+        &mut self,
+        faults: Vec<Fault>,
+        window: CaptureWindow,
+        batches: usize,
+    ) -> WideGradingOutcome {
+        self.run_transition_controlled(faults, window, batches, &RunControl::new())
+            .expect("uncontrolled runs perform no checkpoint IO")
+            .outcome
+    }
+
+    /// The controlled form of [`WideGradingSession::run_transition`]:
+    /// same cancellation / budget / checkpoint-resume semantics as
+    /// [`WideGradingSession::run_stuck_at_controlled`].
+    pub fn run_transition_controlled(
+        &mut self,
+        faults: Vec<Fault>,
+        window: CaptureWindow,
+        batches: usize,
+        control: &RunControl,
+    ) -> Result<ControlledGradingOutcome, CkptError> {
+        let sim: WideTransitionSim<'_, W> = WideTransitionSim::new(self.cc, faults, window);
+        self.run_controlled(sim, ModelTag::Transition, batches, control)
+    }
+
+    /// The one controlled batch loop both fault models run: configure
+    /// `sim` from the session, resume a checkpoint if asked, then fill,
+    /// grade and absorb batch after batch (filling batch *k+1* while
+    /// batch *k* grades), checkpointing at batch boundaries.
+    fn run_controlled<M: FaultModel>(
+        &mut self,
+        mut sim: FaultSim<'a, M, W>,
+        model: ModelTag,
+        batches: usize,
+        control: &RunControl,
+    ) -> Result<ControlledGradingOutcome, CkptError> {
+        let faults_hash = faults_fingerprint(sim.faults());
         self.begin_run();
         let observed = lbist_fault::StuckAtSim::observe_all_captures(self.cc);
-        let kernel = self.kernel_for_run(&faults, &observed);
-        let mut sim: WideStuckAtSim<'_, W> = WideStuckAtSim::new(self.cc, faults, observed);
-        sim.set_kernel(kernel);
+        sim.set_kernel(self.kernel_for_run(sim.faults(), &observed));
         sim.set_drop_after(self.drop_after);
         if let Some(n) = self.threads {
             sim.set_threads(n);
@@ -429,7 +472,7 @@ impl<'a, W: LaneWord> WideGradingSession<'a, W> {
         if control.resume {
             let ckpt = self.resume_grading(
                 control,
-                ModelTag::StuckAt,
+                model,
                 netlist_hash,
                 faults_hash,
                 sim.detections().len(),
@@ -478,7 +521,7 @@ impl<'a, W: LaneWord> WideGradingSession<'a, W> {
             let last = batch + 1 == total;
             let active_before = sim.active_faults() as u64;
             let graded = if last || !pipelined {
-                let graded = sim.try_run_batch(&mut cur, W::LANES);
+                let graded = sim.try_run_batch(M::batch_frame(&mut cur), W::LANES);
                 if graded.is_some() && !last {
                     let _fill_span = metrics.fill_ns.start();
                     fill_wide_frame_from_prpg(arch, core, &mut next);
@@ -493,7 +536,7 @@ impl<'a, W: LaneWord> WideGradingSession<'a, W> {
                 let next = &mut next;
                 let fill_ns = &metrics.fill_ns;
                 let (graded, ()) = lbist_exec::join(
-                    || sim.try_run_batch(cur, W::LANES),
+                    || sim.try_run_batch(M::batch_frame(cur), W::LANES),
                     || {
                         let _fill_span = fill_ns.start();
                         fill_wide_frame_from_prpg(arch, core, next)
@@ -510,9 +553,6 @@ impl<'a, W: LaneWord> WideGradingSession<'a, W> {
                 break;
             }
             faults_graded += active_before;
-            // `cur` now holds the fault-free evaluation: captured
-            // responses are the D-pin words the capture latches.
-            let frame: &[W] = &cur;
             {
                 let _absorb_span = metrics.absorb_ns.start();
                 absorb_batch(
@@ -520,7 +560,7 @@ impl<'a, W: LaneWord> WideGradingSession<'a, W> {
                     &mut self.banks,
                     &mut self.signatures,
                     self.shift_cycles,
-                    |cell| frame[cc.fanins(cell)[0].index()],
+                    |cell| sim.response(&cur, cell),
                 );
             }
             batches_done += 1;
@@ -537,7 +577,7 @@ impl<'a, W: LaneWord> WideGradingSession<'a, W> {
                     grading_snapshot(
                         netlist_hash,
                         faults_hash,
-                        ModelTag::StuckAt,
+                        model,
                         self.drop_after,
                         batches_done,
                         sim.patterns_run(),
@@ -555,194 +595,7 @@ impl<'a, W: LaneWord> WideGradingSession<'a, W> {
             grading_snapshot(
                 netlist_hash,
                 faults_hash,
-                ModelTag::StuckAt,
-                self.drop_after,
-                batches_done,
-                sim.patterns_run(),
-                faults_graded,
-                &snap_completed,
-                &self.banks,
-                &self.signatures,
-                sim.detections(),
-            )
-            .save(&spec.path)?;
-        }
-
-        Ok(ControlledGradingOutcome {
-            outcome: WideGradingOutcome {
-                coverage: sim.coverage(),
-                detections: sim.detections().to_vec(),
-                signatures: self.signatures.clone(),
-                patterns: batches_done * W::LANES as u64,
-                lanes: W::LANES,
-                faults_graded,
-            },
-            status,
-            batches_done,
-            resumed_from,
-        })
-    }
-
-    /// Grades `batches` random-phase batches against `faults` under the
-    /// launch-on-capture transition model across `window`, compacting
-    /// each batch's fault-free end-of-window flip-flop states into the
-    /// per-domain signatures.
-    pub fn run_transition(
-        &mut self,
-        faults: Vec<Fault>,
-        window: CaptureWindow,
-        batches: usize,
-    ) -> WideGradingOutcome {
-        self.run_transition_controlled(faults, window, batches, &RunControl::new())
-            .expect("uncontrolled runs perform no checkpoint IO")
-            .outcome
-    }
-
-    /// The controlled form of [`WideGradingSession::run_transition`]:
-    /// same cancellation / budget / checkpoint-resume semantics as
-    /// [`WideGradingSession::run_stuck_at_controlled`].
-    pub fn run_transition_controlled(
-        &mut self,
-        faults: Vec<Fault>,
-        window: CaptureWindow,
-        batches: usize,
-        control: &RunControl,
-    ) -> Result<ControlledGradingOutcome, CkptError> {
-        let faults_hash = faults_fingerprint(&faults);
-        self.begin_run();
-        let observed = lbist_fault::StuckAtSim::observe_all_captures(self.cc);
-        let kernel = self.kernel_for_run(&faults, &observed);
-        let mut sim: WideTransitionSim<'_, W> = WideTransitionSim::new(self.cc, faults, window);
-        sim.set_kernel(kernel);
-        sim.set_drop_after(self.drop_after);
-        if let Some(n) = self.threads {
-            sim.set_threads(n);
-        }
-        sim.set_cancel(control.cancel.clone());
-        sim.set_phase_metrics(self.metrics.sim_phases());
-
-        let netlist_hash = lbist_ckpt::netlist_fingerprint(&self.core.netlist);
-        let mut resumed_from = None;
-        let mut start_batch = 0u64;
-        let mut faults_graded = 0u64;
-        if control.resume {
-            let ckpt = self.resume_grading(
-                control,
-                ModelTag::Transition,
-                netlist_hash,
-                faults_hash,
-                sim.detections().len(),
-            )?;
-            sim.restore(&ckpt.detections, ckpt.patterns_run);
-            start_batch = ckpt.batches_done;
-            faults_graded = ckpt.faults_graded;
-            resumed_from = Some(ckpt.batches_done);
-        }
-
-        let cc = self.cc;
-        let core = self.core;
-        let metrics = self.metrics.clone();
-        let arch = &mut self.arch;
-        let pipelined = self.pipelined;
-        let total = batches as u64;
-        let budget_limit = control.budget.map(|b| start_batch.saturating_add(b));
-        let mut batches_done = start_batch;
-        let mut status = RunStatus::Completed;
-        let mut snap_completed: Vec<Gf2Vec> =
-            arch.domains().iter().map(|d| d.prpg.lfsr().state().clone()).collect();
-        let mut cur: Vec<W> = cc.new_wide_frame();
-        let mut next: Vec<W> = cc.new_wide_frame();
-        if start_batch < total {
-            let _fill_span = metrics.fill_ns.start();
-            fill_wide_frame_from_prpg(arch, core, &mut cur);
-        }
-        for batch in start_batch..total {
-            if budget_limit.is_some_and(|limit| batches_done >= limit) {
-                status = RunStatus::BudgetExhausted;
-                break;
-            }
-            if let Some(cancelled) = control.cancelled_status() {
-                status = cancelled;
-                break;
-            }
-            let _batch_span = metrics.batch_ns.start();
-            let snap_next: Vec<Gf2Vec> =
-                arch.domains().iter().map(|d| d.prpg.lfsr().state().clone()).collect();
-            let last = batch + 1 == total;
-            let active_before = sim.active_faults() as u64;
-            let graded = if last || !pipelined {
-                let graded = sim.try_run_batch(&cur, W::LANES);
-                if graded.is_some() && !last {
-                    let _fill_span = metrics.fill_ns.start();
-                    fill_wide_frame_from_prpg(arch, core, &mut next);
-                }
-                graded
-            } else {
-                let sim = &mut sim;
-                let cur = &cur;
-                let next = &mut next;
-                let fill_ns = &metrics.fill_ns;
-                let (graded, ()) = lbist_exec::join(
-                    || sim.try_run_batch(cur, W::LANES),
-                    || {
-                        let _fill_span = fill_ns.start();
-                        fill_wide_frame_from_prpg(arch, core, next)
-                    },
-                );
-                graded
-            };
-            if graded.is_none() {
-                status = control
-                    .cancelled_status()
-                    .unwrap_or(RunStatus::Cancelled(lbist_exec::CancelReason::Requested));
-                break;
-            }
-            faults_graded += active_before;
-            // The unload observes the end-of-window flip-flop states.
-            let final_frame = sim.last_good_frame();
-            {
-                let _absorb_span = metrics.absorb_ns.start();
-                absorb_batch(
-                    &self.unload,
-                    &mut self.banks,
-                    &mut self.signatures,
-                    self.shift_cycles,
-                    |cell| final_frame[cell.index()],
-                );
-            }
-            batches_done += 1;
-            metrics.batches.inc();
-            metrics.patterns.add(W::LANES as u64);
-            metrics.faults_graded.add(active_before);
-            snap_completed = snap_next;
-            std::mem::swap(&mut cur, &mut next);
-            if let Some(spec) = &control.checkpoint {
-                if spec.every > 0
-                    && (batches_done - start_batch).is_multiple_of(spec.every)
-                    && batches_done < total
-                {
-                    grading_snapshot(
-                        netlist_hash,
-                        faults_hash,
-                        ModelTag::Transition,
-                        self.drop_after,
-                        batches_done,
-                        sim.patterns_run(),
-                        faults_graded,
-                        &snap_completed,
-                        &self.banks,
-                        &self.signatures,
-                        sim.detections(),
-                    )
-                    .save(&spec.path)?;
-                }
-            }
-        }
-        if let Some(spec) = &control.checkpoint {
-            grading_snapshot(
-                netlist_hash,
-                faults_hash,
-                ModelTag::Transition,
+                model,
                 self.drop_after,
                 batches_done,
                 sim.patterns_run(),
@@ -1050,7 +903,8 @@ mod tests {
     }
 
     /// A fired cancel token stops the run at a clean batch boundary
-    /// with a partial verdict; a pre-fired token grades nothing.
+    /// with a partial verdict; a pre-fired token grades nothing — under
+    /// both fault models.
     #[test]
     fn cancellation_unwinds_to_partial_verdict() {
         use crate::checkpoint::{RunControl, RunStatus};
@@ -1058,22 +912,39 @@ mod tests {
         let c = core();
         let cc = CompiledCircuit::compile(&c.netlist).unwrap();
         let stuck = FaultUniverse::stuck_at(&c.netlist).representatives();
-        let token = CancelToken::new();
-        token.cancel();
+        let transition: Vec<Fault> = FaultUniverse::transition(&c.netlist)
+            .representatives()
+            .into_iter()
+            .filter(|f| f.is_stem())
+            .collect();
+        let window = CaptureWindow::all_domains(c.netlist.num_domains().max(1));
         let mut session: WideGradingSession<'_, u64> =
             WideGradingSession::new(&c, &cc, &StumpsConfig::default());
-        let out = session
-            .run_stuck_at_controlled(stuck.clone(), 3, &RunControl::with_cancel(token))
-            .unwrap();
-        assert_eq!(out.status, RunStatus::Cancelled(CancelReason::Requested));
-        assert_eq!(out.batches_done, 0);
-        assert_eq!(out.outcome.patterns, 0);
-        assert!(out.outcome.signatures.iter().all(|s| s.is_zero()));
+        for model in [ModelTag::StuckAt, ModelTag::Transition] {
+            let mut run = |control: &RunControl| {
+                match model {
+                    ModelTag::StuckAt => session.run_stuck_at_controlled(stuck.clone(), 3, control),
+                    ModelTag::Transition => session.run_transition_controlled(
+                        transition.clone(),
+                        window.clone(),
+                        3,
+                        control,
+                    ),
+                }
+                .unwrap()
+            };
+            let token = CancelToken::new();
+            token.cancel();
+            let out = run(&RunControl::with_cancel(token));
+            assert_eq!(out.status, RunStatus::Cancelled(CancelReason::Requested), "{model:?}");
+            assert_eq!(out.batches_done, 0, "{model:?}");
+            assert_eq!(out.outcome.patterns, 0, "{model:?}");
+            assert!(out.outcome.signatures.iter().all(|s| s.is_zero()), "{model:?}");
 
-        // An expired deadline reports the deadline reason.
-        let expired = RunControl::with_deadline(std::time::Duration::ZERO);
-        let out = session.run_stuck_at_controlled(stuck, 3, &expired).unwrap();
-        assert_eq!(out.status, RunStatus::Cancelled(CancelReason::Deadline));
+            // An expired deadline reports the deadline reason.
+            let out = run(&RunControl::with_deadline(std::time::Duration::ZERO));
+            assert_eq!(out.status, RunStatus::Cancelled(CancelReason::Deadline), "{model:?}");
+        }
     }
 
     /// Resume validates the workload: a different fault list, lane

@@ -29,8 +29,9 @@
 //! * [`WideGradingSession`] — the lane-width-generic grading pipeline:
 //!   PRPG fill ([`fill_wide_frame_from_prpg`]) → bit-parallel fault
 //!   simulation → detection → [`lbist_tpg::LaneMisr`] signature
-//!   compaction, 64/128/256 lanes per pass, with batch *k+1*'s fill
+//!   compaction, 64/128/256/512 lanes per pass, with batch *k+1*'s fill
 //!   pipelined against batch *k*'s grading on the `lbist-exec` pool.
+//!   Both fault models run through its one controlled batch loop.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -16,8 +16,8 @@
 //!   nested scopes make progress even on a single-worker pool.
 //! * [`LaneWord`] — the lane-width-generic bit-parallel frame word:
 //!   the `u64` 64-lane assumption of the original TPG/fault-sim stack
-//!   generalised over `u64`/`u128`/`[u64; 4]` (64/128/256 lanes per
-//!   pass).
+//!   generalised over `u64`/`u128`/`[u64; 4]`/`[u64; 8]`
+//!   (64/128/256/512 lanes per pass).
 //! * **Resilience** — [`CancelToken`] for cooperative cancellation and
 //!   deadlines, [`resilient_chunks_with_scratch`] for per-shard panic
 //!   containment with bounded retries and serial degrade (failures

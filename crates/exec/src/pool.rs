@@ -419,8 +419,8 @@ static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
 
 /// The process-wide pool, created on first use (once-cell guarded:
 /// every later call returns the same pool). Size comes from the
-/// `LBIST_THREADS` environment variable, then `RAYON_NUM_THREADS`
-/// (compatibility with the vendored rayon facade), then the machine's
+/// `LBIST_THREADS` environment variable, then `RAYON_NUM_THREADS` (the
+/// variable rayon-style tooling already sets), then the machine's
 /// available parallelism.
 pub fn global() -> &'static ThreadPool {
     GLOBAL.get_or_init(|| ThreadPool::new(default_threads()))
@@ -467,9 +467,8 @@ pub struct Scope<'scope, 'env: 'scope> {
 
 /// Cloning hands out another handle onto the *same* scope (two Arc
 /// bumps): every spawn through any clone is counted by the one shared
-/// latch, so [`scope`] still joins them all before returning. This is
-/// what lets facades (the vendored `rayon`) own a handle instead of
-/// borrowing one.
+/// latch, so [`scope`] still joins them all before returning, and a
+/// caller may own a handle instead of borrowing one.
 impl Clone for Scope<'_, '_> {
     fn clone(&self) -> Self {
         Scope {

@@ -29,7 +29,7 @@ pub struct FaultDictionary {
 impl FaultDictionary {
     /// Builds the dictionary over `faults` for a sequence of pattern
     /// batches, at any lane width. `batches` yields filled source frames
-    /// (as for [`StuckAtSim::run_batch`]) plus the live pattern count per
+    /// (as for [`crate::FaultSim::run_batch`]) plus the live pattern count per
     /// batch; pattern indices advance by `num_patterns` per batch, so a
     /// 256-lane batch contributes the same dictionary columns as four
     /// 64-lane batches over the same stream.

@@ -2,7 +2,7 @@
 //! over the lowered program.
 //!
 //! When a simulator is handed a compiled [`KernelProgram`] (see
-//! [`crate::WideStuckAtSim::set_kernel`]), fault-free evaluation runs the
+//! [`crate::FaultSim::set_kernel`]), fault-free evaluation runs the
 //! flat bytecode instead of the per-gate interpreter, and per-fault
 //! replay swaps the netlist-walking [`crate::propagate::Propagator`] for
 //! patched-instruction execution, in the shape that fits each fault
@@ -40,7 +40,8 @@
 //! set fails loudly at plan build, never silently misgrades.
 
 use crate::model::Fault;
-use crate::stuck::CANCEL_POLL_STRIDE;
+use crate::sim::engine::Batch;
+use crate::sim::CANCEL_POLL_STRIDE;
 use crate::transition::CaptureWindow;
 use lbist_exec::{CancelToken, LaneWord};
 use lbist_netlist::{GateKind, NodeId};
@@ -129,7 +130,7 @@ impl EventEdges {
 /// reused across faults and batches (the kernel twin of `Propagator` +
 /// `ReplayScratch`).
 #[derive(Debug)]
-pub(crate) struct KernelScratch<W: LaneWord> {
+pub struct KernelScratch<W: LaneWord> {
     /// Stuck-at suffix-execution frame: equals the fault-free frame on
     /// every slot an instruction before the current patch point writes,
     /// stale after it (the next injection restores exactly the gap).
@@ -343,7 +344,7 @@ enum Inject {
 
 /// The per-(program, faults, observation) stuck-at replay plan.
 #[derive(Debug)]
-pub(crate) struct StuckKernelPlan {
+pub struct StuckKernelPlan {
     /// Aligned with the simulator's fault list.
     injects: Vec<Inject>,
     /// `(instruction index, dst slot)` of every observed instruction-
@@ -592,9 +593,9 @@ impl<'a> ConeBuilder<'a> {
     }
 }
 
-/// Kernel twin of `grade_shard`: grades one shard of the active-fault
-/// list against the shared fault-free frame using precomputed injections
-/// and patched replay. Same cancellation protocol, same shard contract,
+/// Kernel twin of `StuckAt::grade_shard`: grades one shard of the
+/// active-fault list against the shared fault-free frame using
+/// precomputed injections and patched replay. Same cancellation protocol, same shard contract,
 /// bit-identical detection words.
 ///
 /// Injection resolution and replay are split so adjacent faults that
@@ -604,19 +605,16 @@ impl<'a> ConeBuilder<'a> {
 /// same suffix patch point, so one [`KernelProgram::eval_instr2`] /
 /// [`KernelProgram::execute_range2`] pass grades two of them for a
 /// single instruction fetch, dispatch and restore sweep.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn kernel_grade_shard<W: LaneWord>(
     prog: &KernelProgram,
     plan: &StuckKernelPlan,
-    cc: &CompiledCircuit,
+    batch: &Batch<'_, W>,
     shard: &[u32],
-    frame: &[W],
-    lane_mask: W,
     scratch: &mut KernelScratch<W>,
     out: &mut [W],
-    cancel: Option<&CancelToken>,
 ) {
     debug_assert_eq!(shard.len(), out.len());
+    let Batch { cc, frame, lane_mask, cancel, .. } = *batch;
     scratch.shadow.clear();
     scratch.shadow.extend_from_slice(frame);
     scratch.shadow_b.clear();
@@ -1100,7 +1098,7 @@ fn dual_cone_patch_and_scan<W: LaneWord>(
 /// plus the up-front validation that every site and capture source is
 /// materialized.
 #[derive(Debug)]
-pub(crate) struct TransitionKernelPlan {
+pub struct TransitionKernelPlan {
     edges: EventEdges,
 }
 
@@ -1132,27 +1130,23 @@ impl TransitionKernelPlan {
     }
 }
 
-/// Kernel twin of `replay_shard`: replays one shard of transition faults
-/// across the capture window. Fault state crosses frames through the
+/// Kernel twin of `Transition::grade_shard`: replays one shard of
+/// transition faults across the capture window. Fault state crosses frames through the
 /// flip-flop overlay exactly as in the interpreter; within a frame the
 /// dirty flip-flops and (when the launch activates it) the pinned site
 /// seed the event queue, and only instructions an actually-changed word
 /// feeds are re-evaluated.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn kernel_replay_shard<W: LaneWord>(
     prog: &KernelProgram,
     plan: &TransitionKernelPlan,
-    cc: &CompiledCircuit,
     window: &CaptureWindow,
-    faults: &[Fault],
-    good_frames: &[Vec<W>],
+    batch: &Batch<'_, W>,
     shard: &[u32],
-    lane_mask: W,
     scratch: &mut KernelScratch<W>,
     out: &mut [W],
-    cancel: Option<&CancelToken>,
 ) {
     debug_assert_eq!(shard.len(), out.len());
+    let Batch { cc, faults, good: good_frames, lane_mask, cancel, .. } = *batch;
     let nframes = window.num_frames();
     for (i, (&fault_idx, slot)) in shard.iter().zip(out.iter_mut()).enumerate() {
         if i % CANCEL_POLL_STRIDE == 0 && cancel.is_some_and(|c| c.is_cancelled()) {

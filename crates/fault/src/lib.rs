@@ -12,16 +12,22 @@
 //! * [`FaultUniverse`] — fault enumeration plus structural equivalence
 //!   collapsing (wire and gate-rule classes via union-find); coverage is
 //!   reported over collapsed classes, as testers do.
-//! * [`StuckAtSim`] / [`WideStuckAtSim`] — PPSFP: one
-//!   [`lbist_exec::LaneWord`] of patterns per pass (64 for the default
-//!   `u64` frames, 128/256 for `u128`/`[u64; 4]`), fault-free simulation
-//!   followed by event-driven single-fault forward propagation with fault
-//!   dropping and n-detect counting.
-//! * [`TransitionSim`] / [`WideTransitionSim`] — launch-on-capture
-//!   transition grading across the paper's **double-capture window**:
-//!   per-domain pulse pairs in `d3` order, launches at each first pulse,
-//!   captures at the second, fault effects carried across the window
-//!   through flip-flop state. Lane-width generic like the stuck-at engine.
+//! * [`FaultSim`] — the one batch simulator both fault models grade
+//!   through: one [`lbist_exec::LaneWord`] of patterns per pass (64 for
+//!   the default `u64` frames, 128/256/512 for `u128`/`[u64; 4]`/
+//!   `[u64; 8]`), a level-ordered active list sharded across the
+//!   `lbist-exec` pool, fault dropping and n-detect counting, the
+//!   optional compiled kernel, cancellation, and checkpoint restore. A
+//!   [`FaultModel`] supplies only the fault-free evaluation, the
+//!   per-shard graders, and the word the scan unload reads.
+//! * [`StuckAtSim`] / [`WideStuckAtSim`] — the simulator under the
+//!   [`StuckAt`] model: PPSFP, fault-free simulation followed by
+//!   event-driven single-fault forward propagation.
+//! * [`TransitionSim`] / [`WideTransitionSim`] — the simulator under the
+//!   [`Transition`] model: launch-on-capture grading across the paper's
+//!   **double-capture window** — per-domain pulse pairs in `d3` order,
+//!   launches at each first pulse, captures at the second, fault effects
+//!   carried across the window through flip-flop state.
 //! * [`CoverageReport`] — the numbers the paper's Table 1 rows report.
 //!
 //! # Example
@@ -56,6 +62,7 @@ mod kernel;
 mod model;
 mod phases;
 mod propagate;
+mod sim;
 mod stuck;
 mod transition;
 mod universe;
@@ -66,6 +73,7 @@ pub use kernel::grading_keep_set;
 pub use model::{Fault, FaultKind};
 pub use phases::SimPhaseMetrics;
 pub use propagate::propagate_fault;
-pub use stuck::{StuckAtSim, WideStuckAtSim};
-pub use transition::{CaptureWindow, TransitionSim, WideTransitionSim};
+pub use sim::{FaultModel, FaultSim};
+pub use stuck::{StuckAt, StuckAtSim, WideStuckAtSim};
+pub use transition::{CaptureWindow, Transition, TransitionSim, WideTransitionSim};
 pub use universe::FaultUniverse;

@@ -11,7 +11,7 @@ use lbist_sim::{eval_gate, CompiledCircuit};
 /// One `Propagator` is allocated per simulator and reused across millions
 /// of fault injections; per-fault cleanup is O(1) thanks to epoch stamps.
 #[derive(Debug)]
-pub(crate) struct Propagator<W: LaneWord = u64> {
+pub struct Propagator<W: LaneWord = u64> {
     faulty: Vec<W>,
     stamp: Vec<u32>,
     epoch: u32,

@@ -34,7 +34,7 @@ pub struct JobSpec {
     /// Scan chains to stitch when preparing the submitted netlist.
     pub chains: usize,
     /// n-detect drop budget forwarded to the grading session
-    /// (`u32::MAX` disables dropping).
+    /// (`u32::MAX` disables dropping; `0` is rejected at admission).
     pub drop_after: u32,
 }
 

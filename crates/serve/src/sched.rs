@@ -31,7 +31,7 @@ use lbist_core::{
     WideGradingOutcome, WideGradingSession,
 };
 use lbist_exec::{retry_backoff, LaneWord, RetryPolicy, ShardPanic};
-use lbist_fault::{CaptureWindow, Fault};
+use lbist_fault::{CaptureWindow, Fault, FaultModel, StuckAt, Transition};
 use lbist_netlist::Netlist;
 use lbist_obs::{Counter, Gauge, Histogram, Registry};
 use lbist_sim::KernelProgram;
@@ -85,7 +85,7 @@ pub struct ServeConfig {
     /// deterministically jittered delay ([`lbist_exec::retry_backoff`]).
     pub retry: RetryPolicy,
     /// Grading worker budget forwarded to every session (`None` uses
-    /// the engine default).
+    /// the engine default; `Some(0)` is refused by [`ControlPlane::new`]).
     pub threads: Option<usize>,
     /// Disable the fill/grade pipeline overlap so every shard dispatch
     /// is issued from the scheduler's thread. Required under
@@ -256,7 +256,16 @@ pub struct ControlPlane {
 
 impl ControlPlane {
     /// Builds a control plane, creating the checkpoint spool directory.
+    ///
+    /// Refuses a zero grading worker budget (`threads: Some(0)`), which
+    /// would fail every slice.
     pub fn new(cfg: ServeConfig) -> Result<Self, CkptError> {
+        if cfg.threads == Some(0) {
+            return Err(CkptError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "ServeConfig::threads must be at least 1",
+            )));
+        }
         let (spool, owns_spool) = match cfg.spool_dir.clone() {
             Some(dir) => (dir, false),
             None => {
@@ -427,6 +436,9 @@ impl ControlPlane {
         }
         if spec.batches == 0 {
             return Err("zero-batch job".to_string());
+        }
+        if spec.drop_after == 0 {
+            return Err("zero drop budget (a fault drops after at least 1 detection)".to_string());
         }
         let netlist =
             lbist_ckpt::open_netlist(&payload.netlist).map_err(|e| format!("bad netlist: {e}"))?;
@@ -649,8 +661,9 @@ impl Drop for ControlPlane {
 /// Everything the grading sims would `assert!` on is screened here
 /// instead, so a hostile fault list costs a rejection, not a retry
 /// cascade: node indices must be in range for the *submitted* netlist
-/// (preparation appends nodes, never renumbers), and kinds must match
-/// the model — transition grading is additionally stem-based.
+/// (preparation appends nodes, never renumbers), and every fault must
+/// pass the model's own [`FaultModel::accepts`] — the predicate the
+/// simulators assert.
 fn validate_faults(faults: &[Fault], netlist: &Netlist, model: ModelTag) -> Result<(), String> {
     for (i, f) in faults.iter().enumerate() {
         if f.node.index() >= netlist.len() {
@@ -661,8 +674,8 @@ fn validate_faults(faults: &[Fault], netlist: &Netlist, model: ModelTag) -> Resu
             ));
         }
         let compatible = match model {
-            ModelTag::StuckAt => f.kind.is_stuck_at(),
-            ModelTag::Transition => f.kind.is_transition() && f.is_stem(),
+            ModelTag::StuckAt => StuckAt::accepts(f),
+            ModelTag::Transition => Transition::accepts(f),
         };
         if !compatible {
             return Err(format!("fault {i} ({:?}) does not fit the {model:?} model", f.kind));

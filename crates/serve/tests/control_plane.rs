@@ -84,6 +84,12 @@ fn admission_rejects_bad_jobs_with_reasons() {
     let id = plane.submit(tenant, JobSpec::stuck_at(0), &good);
     assert_eq!(plane.verdict(id).unwrap().disposition, Disposition::Rejected);
 
+    // Zero drop budget: the simulator would refuse it on every attempt.
+    let id = plane.submit(tenant, JobSpec { drop_after: 0, ..JobSpec::stuck_at(1) }, &good);
+    let v = plane.verdict(id).unwrap();
+    assert_eq!(v.disposition, Disposition::Rejected);
+    assert!(v.reason.as_ref().unwrap().contains("drop budget"), "{:?}", v.reason);
+
     // Unknown tenant.
     let ghost = {
         let mut other = ControlPlane::new(ServeConfig::default()).unwrap();
@@ -123,12 +129,15 @@ fn admission_rejects_bad_jobs_with_reasons() {
     assert_eq!(plane.verdict(id).unwrap().disposition, Disposition::Rejected);
 
     let m = plane.metrics();
-    assert_eq!(m.submitted, 8);
-    assert_eq!(m.rejected, 8);
+    assert_eq!(m.submitted, 9);
+    assert_eq!(m.rejected, 9);
     assert_eq!(m.accepted, 0);
     // Rejection happens before preparation wherever possible: only the
     // structurally valid submissions cost a cache build.
     assert!(plane.cache_stats().misses <= 2, "{:?}", plane.cache_stats());
+
+    // A zero grading worker budget is refused when the plane is built.
+    assert!(ControlPlane::new(ServeConfig { threads: Some(0), ..ServeConfig::default() }).is_err());
 }
 
 #[test]
