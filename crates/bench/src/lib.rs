@@ -121,7 +121,7 @@ pub fn run_table1_flow(
     let universe = FaultUniverse::stuck_at(&core.netlist);
     let mut sim =
         StuckAtSim::new(&cc, universe.representatives(), StuckAtSim::observe_all_captures(&cc));
-    // Rayon-sharded PPSFP by default; `--serial` / `--threads N` override.
+    // Pool-sharded kernel PPSFP by default; `--serial` / `--threads N` override.
     if let Some(threads) = cli_thread_budget() {
         sim.set_threads(threads);
     }

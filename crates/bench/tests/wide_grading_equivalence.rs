@@ -92,6 +92,7 @@ fn run_width<W: LaneWord>(
     if interpreter {
         session.use_interpreter();
     }
+    assert_eq!(session.uses_kernel(), !interpreter);
     let batches = BATCHES_64 * 64 / W::LANES;
     match model {
         Model::StuckAt => session.run_stuck_at(faults.to_vec(), batches),

@@ -150,9 +150,13 @@ pub fn prepare_core(netlist: &Netlist, config: &PrepConfig) -> BistReadyCore {
                 }
                 sim.run_batch(&mut frame, 64);
             }
+            // Free the simulator, its kernel program and replay plan
+            // before the reach profile runs.
+            let undetected = sim.undetected();
+            drop(sim);
             TestPointInsertion::fault_sim_guided(
                 &cc,
-                &sim.undetected(),
+                &undetected,
                 config.obs_budget,
                 4,
                 config.seed ^ 0x5eed,

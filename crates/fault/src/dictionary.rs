@@ -8,10 +8,9 @@
 //! extra fault-simulation pass; it is how 2005-era flows did
 //! "downloading internal states for fault diagnosis" (§1) one better.
 
-use crate::propagate::{inject_stuck_at, Propagator};
-use crate::{Fault, StuckAtSim};
+use crate::{Fault, StuckAtSim, WideStuckAtSim};
 use lbist_exec::LaneWord;
-use lbist_netlist::{GateKind, NodeId};
+use lbist_netlist::NodeId;
 use lbist_sim::CompiledCircuit;
 
 /// A pattern-indexed fault dictionary.
@@ -39,46 +38,23 @@ impl FaultDictionary {
         observed: Vec<NodeId>,
         batches: impl IntoIterator<Item = (Vec<W>, usize)>,
     ) -> Self {
-        let mut obs = vec![false; cc.num_nodes()];
-        for o in observed {
-            obs[o.index()] = true;
-        }
-        let mut prop: Propagator<W> = Propagator::new(cc);
+        let mut sim: WideStuckAtSim<'_, W> = WideStuckAtSim::new(cc, faults.clone(), observed);
+        sim.set_drop_after(u32::MAX);
         let mut detections: Vec<Vec<u32>> = Vec::new();
         for (mut frame, num_patterns) in batches {
-            let lane_mask = W::mask_lanes(num_patterns);
-            cc.eval2(&mut frame);
+            sim.run_batch(&mut frame, num_patterns);
             let base = detections.len();
             detections.resize_with(base + num_patterns, Vec::new);
-            for (fi, fault) in faults.iter().enumerate() {
-                let mut detected = W::zero();
-                match inject_stuck_at(cc, fault, &frame) {
-                    None => continue,
-                    Some((site, word)) => {
-                        if cc.kind(site) == GateKind::Dff {
-                            let src = cc.fanins(site)[0];
-                            detected = word.xor(frame[src.index()]).and(lane_mask);
-                        } else {
-                            prop.begin();
-                            prop.set(site, word);
-                            if obs[site.index()] {
-                                detected =
-                                    detected.or(word.xor(frame[site.index()]).and(lane_mask));
-                            }
-                            prop.enqueue_fanouts(cc, site);
-                            let det = &mut detected;
-                            prop.run(cc, &frame, None, |node, diff| {
-                                if obs[node.index()] {
-                                    *det = det.or(diff.and(lane_mask));
-                                }
-                            });
-                        }
-                    }
-                }
-                // Lane iteration through `LaneWord` instead of an
-                // open-coded `u64` trailing-zeros walk, which would
-                // silently drop lanes 64+ of a wide batch.
-                detected.for_each_set_lane(|lane| detections[base + lane].push(fi as u32));
+            // Lane iteration through `LaneWord` instead of an open-coded
+            // `u64` trailing-zeros walk, which would silently drop lanes
+            // 64+ of a wide batch.
+            for (fi, word) in sim.batch_words() {
+                word.for_each_set_lane(|lane| detections[base + lane].push(fi));
+            }
+            // The simulator grades in level order; entries list faults
+            // in index order.
+            for entry in &mut detections[base..] {
+                entry.sort_unstable();
             }
         }
         FaultDictionary { faults, detections }
@@ -138,7 +114,7 @@ pub fn build_dictionary<W: LaneWord>(
 mod tests {
     use super::*;
     use crate::{FaultKind, FaultUniverse};
-    use lbist_netlist::Netlist;
+    use lbist_netlist::{GateKind, Netlist};
 
     fn circuit() -> (Netlist, [NodeId; 3]) {
         let mut nl = Netlist::new("dict");

@@ -1,11 +1,12 @@
 //! Kernel-backed fault grading: replaying faults as patched instructions
 //! over the lowered program.
 //!
-//! When a simulator is handed a compiled [`KernelProgram`] (see
-//! [`crate::FaultSim::set_kernel`]), fault-free evaluation runs the
-//! flat bytecode instead of the per-gate interpreter, and per-fault
-//! replay swaps the netlist-walking [`crate::propagate::Propagator`] for
-//! patched-instruction execution, in the shape that fits each fault
+//! Every [`crate::FaultSim`] grades on a compiled [`KernelProgram`] —
+//! lowered at its first batch, or shared through
+//! [`crate::FaultSim::set_kernel`]. Fault-free evaluation runs the flat
+//! bytecode, and per-fault replay is patched-instruction execution
+//! instead of the netlist-walking [`crate::propagate::Propagator`] (kept
+//! as the interpreter reference), in the shape that fits each fault
 //! model:
 //!
 //! * **Stuck-at** faults replay as a **patched suffix re-execution**.
@@ -315,7 +316,8 @@ enum Replay {
 }
 
 /// How one stuck-at fault is injected on the kernel path, resolved once
-/// at plan build (the per-fault twin of `inject_stuck_at`).
+/// at plan build (the per-fault twin of `inject_stuck_at`). `replay`
+/// indexes [`StuckKernelPlan::replays`].
 #[derive(Debug, Clone, Copy)]
 enum Inject {
     /// The injection site is a flip-flop (stem on Q, or a branch on the
@@ -332,21 +334,27 @@ enum Inject {
     Dead,
     /// Output-stem fault at a materialized instruction: overwrite the
     /// instruction's slot with the forced word and replay downstream.
-    PatchInstr { instr: u32, dst: u32, force1: bool, replay: Replay },
+    PatchInstr { instr: u32, dst: u32, force1: bool, replay: u32 },
     /// Output-stem fault at a frame source (a primary input): force the
     /// source slot and replay from the top of the program.
-    SourceStem { site: u32, force1: bool, observed: bool, replay: Replay },
+    SourceStem { site: u32, force1: bool, observed: bool, replay: u32 },
     /// Input-branch fault on a logic gate: re-evaluate the gate with one
     /// pin forced, patch the gate's instruction slot with the result and
     /// replay downstream.
-    Branch { instr: u32, dst: u32, pin: u8, force1: bool, replay: Replay },
+    Branch { instr: u32, dst: u32, pin: u8, force1: bool, replay: u32 },
 }
+
+// One entry per graded fault: the `replay` index into
+// [`StuckKernelPlan::replays`] keeps it at 16 bytes.
+const _: () = assert!(std::mem::size_of::<Inject>() == 16);
 
 /// The per-(program, faults, observation) stuck-at replay plan.
 #[derive(Debug)]
 pub struct StuckKernelPlan {
     /// Aligned with the simulator's fault list.
     injects: Vec<Inject>,
+    /// One replay decision per patched slot, shared by every fault on it.
+    replays: Vec<Replay>,
     /// `(instruction index, dst slot)` of every observed instruction-
     /// computed slot, in instruction order: the detection scan walks the
     /// entries at or after the patch point (slots before it equal the
@@ -479,6 +487,7 @@ impl StuckKernelPlan {
             .collect();
         StuckKernelPlan {
             injects,
+            replays: cones.replays,
             obs_scan,
             cone_arena: cones.arena,
             cone_obs_arena: cones.obs_arena,
@@ -496,8 +505,10 @@ struct ConeBuilder<'a> {
     edges: EventEdges,
     arena: Vec<u64>,
     obs_arena: Vec<u32>,
-    /// Patched slot → memoized decision.
-    memo: HashMap<usize, Replay>,
+    /// The decisions made so far, indexed by [`Inject`]'s `replay`.
+    replays: Vec<Replay>,
+    /// Patched slot → index of its memoized decision.
+    memo: HashMap<usize, u32>,
     /// Traversal epoch stamps per instruction.
     stamp: Vec<u32>,
     epoch: u32,
@@ -513,6 +524,7 @@ impl<'a> ConeBuilder<'a> {
             edges: EventEdges::build(prog, cc),
             arena: Vec::new(),
             obs_arena: Vec::new(),
+            replays: Vec::new(),
             memo: HashMap::new(),
             stamp: vec![0; prog.num_instrs()],
             epoch: 0,
@@ -521,9 +533,10 @@ impl<'a> ConeBuilder<'a> {
         }
     }
 
-    /// The replay mode for a fault patched at `slot`, whose suffix
-    /// execution would start after instruction `p` (0 for sources).
-    fn replay_of(&mut self, slot: usize, p: usize) -> Replay {
+    /// The index of the replay mode for a fault patched at `slot`, whose
+    /// suffix execution would start after instruction `p` (0 for
+    /// sources).
+    fn replay_of(&mut self, slot: usize, p: usize) -> u32 {
         if let Some(&r) = self.memo.get(&slot) {
             return r;
         }
@@ -588,8 +601,10 @@ impl<'a> ConeBuilder<'a> {
             } else {
                 Replay::Suffix
             };
-        self.memo.insert(slot, replay);
-        replay
+        let idx = self.replays.len() as u32;
+        self.replays.push(replay);
+        self.memo.insert(slot, idx);
+        idx
     }
 }
 
@@ -841,14 +856,14 @@ fn prepare<W: LaneWord>(
             if forced == frame[dst as usize] {
                 return Prepared::Done(W::zero());
             }
-            replay_job(instr, dst, forced, false, replay)
+            replay_job(instr, dst, forced, false, plan.replays[replay as usize])
         }
         Inject::SourceStem { site, force1, observed, replay } => {
             let forced = if force1 { W::ones() } else { W::zero() };
             if forced == frame[site as usize] {
                 return Prepared::Done(W::zero());
             }
-            match replay {
+            match plan.replays[replay as usize] {
                 Replay::Suffix => Prepared::Suffix(SuffixJob {
                     p: 0,
                     exec_lo: 0,
@@ -877,7 +892,7 @@ fn prepare<W: LaneWord>(
             if val == frame[dst as usize] {
                 return Prepared::Done(W::zero());
             }
-            replay_job(instr, dst, val, false, replay)
+            replay_job(instr, dst, val, false, plan.replays[replay as usize])
         }
     }
 }

@@ -3,14 +3,17 @@
 //! [`FaultSim`] owns everything grading does the same way under every
 //! model: the level-ordered active-fault list, per-fault detection
 //! counts and the n-detect drop budget, the pattern counter, the worker
-//! budget and cancel token, the phase timers, the optional compiled
-//! kernel with its lazily built replay plan, the sharded dispatch on the
-//! persistent `lbist-exec` work-stealing pool, the serial merge with
-//! swap-remove compaction, checkpoint restore and coverage.
+//! budget and cancel token, the phase timers, the compiled kernel
+//! program with its replay plan (both built at the first batch unless a
+//! program is installed), the sharded dispatch on the persistent
+//! `lbist-exec` work-stealing pool, the serial merge with swap-remove
+//! compaction, checkpoint restore and coverage.
 //!
 //! A [`FaultModel`] supplies only what differs between models: which
-//! faults it grades, the fault-free evaluation of a batch, the per-shard
-//! graders (interpreter and kernel), and the word the scan unload reads.
+//! faults it grades, the nodes its kernel plan reads, the fault-free
+//! evaluation of a batch, the per-shard graders (kernel, plus the gate
+//! interpreter kept as the reference), and the word the scan unload
+//! reads.
 //! The two models are [`crate::StuckAt`] (PPSFP over one frame) and
 //! [`crate::Transition`] (launch-on-capture across the double-capture
 //! window).
@@ -18,7 +21,7 @@
 use crate::coverage::CoverageReport;
 use crate::kernel::KernelScratch;
 use crate::phases::SimPhaseMetrics;
-use crate::Fault;
+use crate::{grading_keep_set, Fault};
 use engine::Batch;
 use lbist_exec::{CancelToken, LaneWord, RetryPolicy};
 use lbist_netlist::NodeId;
@@ -87,9 +90,14 @@ pub(crate) mod engine {
         fn batch_frame<W: LaneWord>(frame: &mut [W]) -> Self::Frame<'_, W>;
         /// Fault-free frames the model keeps per batch.
         fn good_frames(&self) -> usize;
+        /// Nodes the kernel plan reads beyond what
+        /// [`crate::grading_keep_set`] keeps for the fault list itself:
+        /// the lowering [`super::FaultSim`] does at its first batch keeps
+        /// them materialized.
+        fn plan_reads(&self) -> Vec<NodeId>;
         /// Runs the batch's fault-free evaluation — on the compiled
-        /// program when one is installed — and returns the caller frame
-        /// as the graders read it.
+        /// program unless the interpreter is selected — and returns the
+        /// caller frame as the graders read it.
         fn evaluate<'f, W: LaneWord + 'f>(
             &self,
             cc: &CompiledCircuit,
@@ -102,8 +110,9 @@ pub(crate) mod engine {
         fn plan(&self, prog: &KernelProgram, cc: &CompiledCircuit, faults: &[Fault]) -> Self::Plan;
         /// A fresh interpreter scratch.
         fn scratch<W: LaneWord>(cc: &CompiledCircuit) -> Self::Scratch<W>;
-        /// Interpreter grader: writes each shard fault's detection word
-        /// into `out`, returning early when the batch is cancelled.
+        /// Interpreter grader — the reference the kernel is diffed
+        /// against: writes each shard fault's detection word into `out`,
+        /// returning early when the batch is cancelled.
         fn grade_shard<W: LaneWord>(
             &self,
             batch: &Batch<'_, W>,
@@ -139,6 +148,11 @@ pub(crate) mod engine {
 /// the model runs the fault-free evaluation, then every still-active
 /// fault is graded against it and its per-lane detection word recorded.
 /// Detected faults are dropped once their n-detect budget is met.
+///
+/// Grading runs on the compiled kernel: the first batch lowers a
+/// [`KernelProgram`] for this fault list unless one was installed with
+/// [`FaultSim::set_kernel`], and `set_kernel(None)` selects the gate
+/// interpreter, the reference the kernel is diffed against.
 ///
 /// # Parallel grading
 ///
@@ -179,8 +193,11 @@ pub struct FaultSim<'a, M: FaultModel, W: LaneWord = u64> {
     scratch: Vec<M::Scratch<W>>,
     /// The model's fault-free frames of the last batch.
     good: Vec<Vec<W>>,
-    /// Compiled kernel program (see [`FaultSim::set_kernel`]).
+    /// Compiled kernel program: installed by [`FaultSim::set_kernel`] or
+    /// lowered at the first batch; always `None` on the interpreter.
     kernel: Option<Arc<KernelProgram>>,
+    /// `true` once `set_kernel(None)` selected the interpreter.
+    interpreter: bool,
     /// Replay plan for the kernel path, built lazily at the first batch.
     kplan: Option<M::Plan>,
     /// One kernel replay scratch per worker.
@@ -226,6 +243,7 @@ impl<'a, M: FaultModel, W: LaneWord> FaultSim<'a, M, W> {
             threads_auto: true,
             scratch: Vec::new(),
             kernel: None,
+            interpreter: false,
             kplan: None,
             kscratch: Vec::new(),
             batch_det: Vec::new(),
@@ -258,16 +276,17 @@ impl<'a, M: FaultModel, W: LaneWord> FaultSim<'a, M, W> {
         self.drop_after = n;
     }
 
-    /// Installs (or clears) a compiled kernel program: subsequent batches
-    /// run the fault-free evaluation with [`KernelProgram::execute`] and
-    /// replay faults over the lowered instructions instead of walking the
-    /// netlist. Results are bit-identical to the interpreter path
+    /// Chooses the grading engine. `Some(program)` installs a shared
+    /// compiled program — e.g. one cached across simulators on the same
+    /// netlist — instead of the one the first batch would lower. `None`
+    /// selects the per-gate interpreter, the reference the kernel is
+    /// diffed against. Results are bit-identical either way
     /// (property-tested in the bench crate).
     ///
-    /// The program must have been lowered from this simulator's circuit
-    /// with a keep set covering this fault list and observation set —
-    /// use [`crate::grading_keep_set`]. Violations panic at the next
-    /// batch, never misgrade silently.
+    /// An installed program must have been lowered from this simulator's
+    /// circuit with a keep set covering this fault list and observation
+    /// set — use [`crate::grading_keep_set`]. Violations panic at the
+    /// next batch, never misgrade silently.
     ///
     /// # Panics
     ///
@@ -280,14 +299,15 @@ impl<'a, M: FaultModel, W: LaneWord> FaultSim<'a, M, W> {
                 "kernel program was lowered from a different circuit"
             );
         }
+        self.interpreter = kernel.is_none();
         self.kernel = kernel;
         self.kplan = None;
         self.kscratch.clear();
     }
 
-    /// `true` when a compiled kernel program drives this simulator.
+    /// `true` unless `set_kernel(None)` selected the interpreter.
     pub fn uses_kernel(&self) -> bool {
-        self.kernel.is_some()
+        !self.interpreter
     }
 
     /// Number of faults still actively graded (shrinks as faults drop —
@@ -341,14 +361,17 @@ impl<'a, M: FaultModel, W: LaneWord> FaultSim<'a, M, W> {
         if cancel.is_some_and(|c| c.is_cancelled()) {
             return None;
         }
-        if let Some(prog) = &self.kernel {
-            if self.kplan.is_none() {
-                // One-time replay-plan construction is detection
-                // machinery — charged to the detect span so the phase
-                // trace still accounts for the batch wall time.
-                let _plan_span = self.phases.detect_ns.start();
-                self.kplan = Some(self.model.plan(prog, self.cc, &self.faults));
-            }
+        if !self.interpreter && self.kplan.is_none() {
+            // One-time lowering and replay-plan construction are
+            // detection machinery — charged to the detect span so the
+            // phase trace still accounts for the batch wall time.
+            let _plan_span = self.phases.detect_ns.start();
+            let (cc, faults, model) = (self.cc, &self.faults, &self.model);
+            let prog = self.kernel.get_or_insert_with(|| {
+                let keep = grading_keep_set(cc, &[faults], &model.plan_reads());
+                Arc::new(KernelProgram::lower(cc, &keep))
+            });
+            self.kplan = Some(model.plan(prog, cc, faults));
         }
         let lane_mask = W::mask_lanes(num_patterns);
         let frame = {
@@ -470,6 +493,13 @@ impl<'a, M: FaultModel, W: LaneWord> FaultSim<'a, M, W> {
             .collect();
         self.active = level_order(self.cc, &self.faults, below);
         self.batch_det.clear();
+    }
+
+    /// The last batch's detection words as `(fault index, word)` pairs,
+    /// over the faults still active after it: complete only while the
+    /// drop budget keeps every fault active.
+    pub(crate) fn batch_words(&self) -> impl Iterator<Item = (u32, W)> + '_ {
+        self.active.iter().copied().zip(self.batch_det.iter().copied())
     }
 
     /// Patterns graded so far (the counter captured by checkpoints).

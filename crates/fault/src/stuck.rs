@@ -90,6 +90,11 @@ impl Engine for StuckAt {
         0
     }
 
+    /// The observation points: detection scans their slots.
+    fn plan_reads(&self) -> Vec<NodeId> {
+        (0..self.observed.len()).filter(|&i| self.observed[i]).map(NodeId::from_index).collect()
+    }
+
     fn evaluate<'f, W: LaneWord + 'f>(
         &self,
         cc: &CompiledCircuit,
@@ -504,9 +509,7 @@ mod tests {
             let mut sim = StuckAtSim::new(&cc, faults.clone(), observed.clone());
             sim.set_threads(threads);
             sim.set_drop_after(2);
-            if kernel {
-                sim.set_kernel(Some(prog.clone()));
-            }
+            sim.set_kernel(kernel.then(|| prog.clone()));
             assert_eq!(sim.uses_kernel(), kernel);
             for k in 0..4u64 {
                 let mut frame = cc.new_frame();

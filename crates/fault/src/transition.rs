@@ -26,8 +26,10 @@
 //! stuck-at, at any lane width (64/128/256/512 patterns per pass for
 //! `u64`/`u128`/`[u64; 4]`/`[u64; 8]` frames): the fault-free window
 //! frames are computed once per batch and shared read-only; each worker
-//! replays faults from its shard with a thread-local [`Propagator`] and
+//! replays faults from its shard over the compiled kernel with its own
 //! flip-flop overlay, so parallel and serial coverage are bit-identical.
+//! The [`Propagator`] replay here is the interpreter reference the
+//! kernel replay is diffed against.
 
 use crate::kernel::{kernel_replay_shard, KernelScratch, TransitionKernelPlan};
 use crate::propagate::Propagator;
@@ -184,6 +186,12 @@ impl Engine for Transition {
 
     fn good_frames(&self) -> usize {
         self.window.num_frames()
+    }
+
+    /// Nothing beyond the keep set: it already covers every capture `D`
+    /// source the window replay reads.
+    fn plan_reads(&self) -> Vec<NodeId> {
+        Vec::new()
     }
 
     /// Evaluates the fault-free window: `base` (scan state + held PIs)
@@ -629,9 +637,7 @@ mod tests {
         let run = |kernel: bool, threads: usize| {
             let mut sim = TransitionSim::new(&cc, faults.clone(), CaptureWindow::all_domains(2));
             sim.set_threads(threads);
-            if kernel {
-                sim.set_kernel(Some(prog.clone()));
-            }
+            sim.set_kernel(kernel.then(|| prog.clone()));
             assert_eq!(sim.uses_kernel(), kernel);
             for seed in 0..4u64 {
                 let mut base = cc.new_frame();

@@ -1,9 +1,11 @@
 //! End-to-end integration: the paper's whole flow on a synthetic core.
 
 use lbist::atpg::TopUpAtpg;
-use lbist::core::{SelfTestSession, SessionConfig, StumpsConfig};
+use lbist::core::{
+    fill_frame_from_prpg, SelfTestSession, SessionConfig, StumpsArchitecture, StumpsConfig,
+};
 use lbist::cores::{CoreProfile, CpuCoreGenerator};
-use lbist::dft::{prepare_core, PrepConfig, TpiMethod, XBounding};
+use lbist::dft::{prepare_core, PrepConfig, TestPointInsertion, TpiMethod, XBounding};
 use lbist::fault::{Fault, FaultKind, FaultUniverse, StuckAtSim};
 use lbist::sim::CompiledCircuit;
 use rand::rngs::SmallRng;
@@ -93,6 +95,48 @@ fn full_flow_fc1_tpi_fc2() {
     );
     // The paper's shape: FC2 comfortably above 95% on testable faults.
     assert!(fc2 > 0.95, "FC2 = {fc2:.4}");
+}
+
+/// The flow's random phase grades identically on the compiled kernel
+/// (the default) and on the gate-interpreter reference: the same
+/// survivors, and so the same fault-simulation-guided observation sites
+/// chosen from them.
+#[test]
+fn random_phase_and_tpi_sites_match_the_interpreter_reference() {
+    let netlist = CpuCoreGenerator::new(CoreProfile::core_x().scaled(200), 3).generate();
+    let core = prepare_core(
+        &netlist,
+        &PrepConfig {
+            total_chains: 8,
+            obs_budget: 0,
+            tpi: TpiMethod::None,
+            ..PrepConfig::default()
+        },
+    );
+    let cc = CompiledCircuit::compile(&core.netlist).unwrap();
+    let faults = FaultUniverse::stuck_at(&core.netlist).representatives();
+    let grade = |interpreter: bool| {
+        let mut sim = StuckAtSim::new(&cc, faults.clone(), StuckAtSim::observe_all_captures(&cc));
+        if interpreter {
+            sim.set_kernel(None);
+        }
+        assert_eq!(sim.uses_kernel(), !interpreter);
+        let mut arch = StumpsArchitecture::build(&core, &StumpsConfig::default());
+        let mut frame = cc.new_frame();
+        for _ in 0..8 {
+            fill_frame_from_prpg(&mut arch, &core, &mut frame);
+            sim.run_batch(&mut frame, 64);
+        }
+        let undetected = sim.undetected();
+        let sites = TestPointInsertion::fault_sim_guided(&cc, &undetected, 8, 4, 7).sites;
+        (undetected, sites)
+    };
+    let (kernel_survivors, kernel_sites) = grade(false);
+    let (interp_survivors, interp_sites) = grade(true);
+    assert!(!kernel_survivors.is_empty() && kernel_survivors.len() < faults.len());
+    assert_eq!(kernel_survivors, interp_survivors, "random-phase survivors differ");
+    assert!(!kernel_sites.is_empty(), "the scenario must choose observation sites");
+    assert_eq!(kernel_sites, interp_sites, "TPI sites differ");
 }
 
 #[test]

@@ -116,10 +116,11 @@ proptest! {
         }
     }
 
-    /// Every fault the PPSFP engine reports detected is confirmed by
-    /// brute-force forced evaluation, and vice versa (single pattern).
+    /// Every fault the PPSFP engine — compiled kernel or interpreter
+    /// reference — reports detected is confirmed by brute-force forced
+    /// evaluation, and vice versa (single pattern).
     #[test]
-    fn ppsfp_matches_forced_evaluation(nl in arb_comb_netlist(), stim: u64) {
+    fn ppsfp_matches_forced_evaluation(nl in arb_comb_netlist(), stim: u64, interpreter: bool) {
         let cc = CompiledCircuit::compile(&nl).unwrap();
         let observed = StuckAtSim::observe_all_captures(&cc);
         // Pick stem faults over all logic nodes.
@@ -128,6 +129,10 @@ proptest! {
             .flat_map(|n| [Fault::stem(n, FaultKind::StuckAt0), Fault::stem(n, FaultKind::StuckAt1)])
             .collect();
         let mut sim = StuckAtSim::new(&cc, faults.clone(), observed);
+        if interpreter {
+            sim.set_kernel(None);
+        }
+        prop_assert_eq!(sim.uses_kernel(), !interpreter);
         let mut frame = cc.new_frame();
         let mut s = stim;
         let mut stims = Vec::new();
@@ -161,17 +166,24 @@ proptest! {
         }
     }
 
-    /// Rayon-sharded stuck-at grading reports coverage bit-identical to
-    /// serial grading on arbitrary netlists — the determinism contract of
-    /// the parallel fault-simulation engine.
+    /// Sharded stuck-at grading reports coverage bit-identical to serial
+    /// grading on arbitrary netlists, on either engine — the determinism
+    /// contract of the parallel fault-simulation engine.
     #[test]
-    fn parallel_stuck_at_coverage_equals_serial(nl in arb_comb_netlist(), stim: u64) {
+    fn parallel_stuck_at_coverage_equals_serial(
+        nl in arb_comb_netlist(),
+        stim: u64,
+        interpreter: bool,
+    ) {
         let cc = CompiledCircuit::compile(&nl).unwrap();
         let universe = FaultUniverse::stuck_at(&nl);
         let observed = StuckAtSim::observe_all_captures(&cc);
         let run = |threads: usize| {
             let mut sim = StuckAtSim::new(&cc, universe.representatives(), observed.clone());
             sim.set_threads(threads);
+            if interpreter {
+                sim.set_kernel(None);
+            }
             let mut s = stim | 1;
             for batch in 0..2u64 {
                 let mut frame = cc.new_frame();
@@ -195,7 +207,11 @@ proptest! {
     /// The same contract for launch-on-capture transition grading on
     /// random sequential netlists with two clock domains.
     #[test]
-    fn parallel_transition_coverage_equals_serial(nl in arb_seq_netlist(), stim: u64) {
+    fn parallel_transition_coverage_equals_serial(
+        nl in arb_seq_netlist(),
+        stim: u64,
+        interpreter: bool,
+    ) {
         let cc = CompiledCircuit::compile(&nl).unwrap();
         let faults: Vec<Fault> = nl
             .ids()
@@ -211,6 +227,9 @@ proptest! {
         let run = |threads: usize| {
             let mut sim = TransitionSim::new(&cc, faults.clone(), window.clone());
             sim.set_threads(threads);
+            if interpreter {
+                sim.set_kernel(None);
+            }
             let mut s = stim | 1;
             for _ in 0..2 {
                 let mut base = cc.new_frame();
