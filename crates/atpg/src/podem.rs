@@ -1,7 +1,28 @@
 //! The PODEM test generation algorithm.
+//!
+//! # Search order is part of the output
+//!
+//! PODEM's verdicts and cubes depend on the order in which it meets
+//! things, so the engine keeps that order fixed:
+//!
+//! * implication is event-driven with a strict FIFO queue, and every
+//!   value change goes through `set_value`, which appends to the undo
+//!   trail;
+//! * the D-node list is the trail's nodes in first-occurrence order (then
+//!   the fault site), and the D-frontier takes the first gate of minimal
+//!   distance to an observed node in that order.
+//!
+//! The trail order therefore breaks every D-frontier tie, and with it
+//! decides which cube a fault gets. A change to this module that is meant
+//! to be only faster must keep the queue FIFO and the `set_value` order as
+//! they are; the pinned outcome digests in the workspace tests check it.
+//!
+//! The search loop allocates nothing per decision: the event queue, the
+//! D-node list, the X-path stack and the decision stack are buffers owned
+//! by the engine and reused across decisions and across faults.
 
 use crate::pattern::TestCube;
-use crate::values::{controlling_value, eval_logic, inverts};
+use crate::values::{controlling_value, eval_logic_with, inverts};
 use lbist_fault::Fault;
 use lbist_netlist::{GateKind, NodeId};
 use lbist_sim::{CompiledCircuit, Logic};
@@ -31,6 +52,8 @@ pub struct Podem<'a> {
     observed: Vec<bool>,
     assignable: Vec<bool>,
     backtrack_limit: usize,
+    /// Constant nodes and their values, in schedule order.
+    consts: Vec<(NodeId, Logic)>,
     good: Vec<Logic>,
     faulty: Vec<Logic>,
     /// Undo trail: (node, old good, old faulty).
@@ -38,8 +61,17 @@ pub struct Podem<'a> {
     /// The fault currently being targeted (its transform is applied during
     /// node evaluation).
     target: Option<Target>,
-    /// Epoch-stamped scratch marks shared by `d_nodes` and the X-path BFS
-    /// (avoids per-call allocation in the search's hot loop).
+    /// Decision stack of the current search.
+    decisions: Vec<Decision>,
+    /// Implication event queue (FIFO: `imply_from` walks it by index).
+    queue: Vec<NodeId>,
+    /// Nodes carrying a fault effect, computed once per decision by
+    /// `status` and read again by `objective`.
+    d_nodes: Vec<NodeId>,
+    /// X-path search stack.
+    xpath: Vec<NodeId>,
+    /// Epoch-stamped marks shared by the D-node scan and the X-path
+    /// search.
     scratch_stamp: Vec<u32>,
     scratch_epoch: u32,
     /// Per-node hop distance to the nearest observed node (u32::MAX when
@@ -49,10 +81,22 @@ pub struct Podem<'a> {
 }
 
 /// The active fault target.
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Target {
-    fault: Fault,
-    stuck: bool,
+    site: NodeId,
+    pin: Option<u8>,
+    stuck: Logic,
+}
+
+/// One primary-input decision on the search stack.
+#[derive(Clone, Copy, Debug)]
+struct Decision {
+    pi: NodeId,
+    value: bool,
+    /// The other value was already tried.
+    flipped: bool,
+    /// Trail length before the decision was implied.
+    mark: usize,
 }
 
 impl<'a> Podem<'a> {
@@ -70,6 +114,15 @@ impl<'a> Podem<'a> {
         for &ff in cc.dffs() {
             assignable[ff.index()] = true;
         }
+        let consts = cc
+            .schedule()
+            .iter()
+            .filter_map(|&id| match cc.kind(id) {
+                GateKind::Const0 => Some((id, Logic::Zero)),
+                GateKind::Const1 => Some((id, Logic::One)),
+                _ => None,
+            })
+            .collect();
         // Reverse BFS from the observed set over fanin edges gives each
         // node its hop distance to the nearest observation.
         let mut obs_distance = vec![u32::MAX; cc.num_nodes()];
@@ -96,7 +149,12 @@ impl<'a> Podem<'a> {
             observed: obs,
             assignable,
             backtrack_limit: 512,
+            consts,
             target: None,
+            decisions: Vec::new(),
+            queue: Vec::new(),
+            d_nodes: Vec::new(),
+            xpath: Vec::new(),
             scratch_stamp: vec![0u32; cc.num_nodes()],
             scratch_epoch: 0,
             obs_distance,
@@ -116,157 +174,63 @@ impl<'a> Podem<'a> {
     /// Panics if the fault is not stuck-at.
     pub fn generate(&mut self, fault: &Fault) -> AtpgOutcome {
         assert!(fault.kind.is_stuck_at(), "PODEM targets stuck-at faults");
-        self.reset();
-        self.install_target(fault);
+        let cc = self.cc;
+        self.good.fill(Logic::X);
+        self.faulty.fill(Logic::X);
+        self.trail.clear();
+        self.decisions.clear();
+        self.target = Some(Target {
+            site: fault.node,
+            pin: fault.pin,
+            stuck: Logic::from_bool(fault.kind.faulty_value()),
+        });
         // X-sources are zero-bounded in test mode; treat them as constant 0
         // (the bounding AND makes this exact when test_mode=1, which the
         // session guarantees).
-        for x in self.cc.xsources().to_vec() {
+        for &x in cc.xsources() {
             self.good[x.index()] = Logic::Zero;
             self.faulty[x.index()] = Logic::Zero;
         }
         // Constants participate in implication from the start.
-        for id in self.cc.schedule().to_vec() {
-            let k = self.cc.kind(id);
-            if matches!(k, GateKind::Const0 | GateKind::Const1) {
-                let v = if k == GateKind::Const1 { Logic::One } else { Logic::Zero };
-                self.good[id.index()] = v;
-                self.faulty[id.index()] = v;
-                self.imply_from(id);
-            }
+        for i in 0..self.consts.len() {
+            let (id, v) = self.consts[i];
+            self.good[id.index()] = v;
+            self.faulty[id.index()] = v;
+            self.imply_from(id);
         }
-        for x in self.cc.xsources().to_vec() {
+        for &x in cc.xsources() {
             self.imply_from(x);
         }
         self.trail.clear(); // initial implications are permanent for this run
 
-        // Decision stack: (pi, value, flipped_already).
-        let mut stack: Vec<(NodeId, bool, bool)> = Vec::new();
-        let mut trail_marks: Vec<usize> = Vec::new();
-        let mut backtracks = 0usize;
+        match self.search(fault) {
+            Ok(()) => {
+                let mut cube = TestCube::new();
+                for d in &self.decisions {
+                    cube.assign(d.pi, d.value);
+                }
+                AtpgOutcome::Test(cube)
+            }
+            Err(verdict) => verdict,
+        }
+    }
 
+    /// The decision loop. `Ok` means the decisions on the stack detect the
+    /// fault; `Err` carries the verdict that ended the search otherwise.
+    fn search(&mut self, fault: &Fault) -> Result<(), AtpgOutcome> {
+        let mut backtracks = 0usize;
         loop {
-            // Re-imply everything from scratch cheaply: implication is
-            // incremental via the trail, so here we only check status.
-            let status = self.status(fault);
-            match status {
-                Status::Detected => {
-                    let mut cube = TestCube::new();
-                    for &(pi, v, _) in &stack {
-                        cube.assign(pi, v);
-                    }
-                    return AtpgOutcome::Test(cube);
-                }
-                Status::Conflict => {
-                    // Backtrack.
-                    loop {
-                        match stack.pop() {
-                            None => return AtpgOutcome::Untestable,
-                            Some((pi, v, flipped)) => {
-                                let mark = trail_marks.pop().expect("marks track stack");
-                                self.undo_to(mark);
-                                backtracks += 1;
-                                if backtracks > self.backtrack_limit {
-                                    return AtpgOutcome::Aborted;
-                                }
-                                if !flipped {
-                                    let mark = self.trail.len();
-                                    if self.assign(pi, !v) {
-                                        stack.push((pi, !v, true));
-                                        trail_marks.push(mark);
-                                        break;
-                                    }
-                                    self.undo_to(mark);
-                                }
-                            }
-                        }
-                    }
-                }
+            match self.status(fault) {
+                Status::Detected => return Ok(()),
+                // Unwind to the newest decision whose other value is untried.
+                Status::Conflict => while !self.backtrack(&mut backtracks)? {},
                 Status::Undecided => {
-                    let Some((obj_node, obj_val)) = self.objective(fault) else {
-                        // No objective although undecided: treat as conflict.
-                        let mark = trail_marks.last().copied().unwrap_or(0);
-                        let _ = mark;
-                        // Force the conflict path by popping a decision.
-                        if stack.is_empty() {
-                            return AtpgOutcome::Untestable;
-                        }
-                        // Reuse the conflict handling on the next loop turn:
-                        // mark the situation by backtracking once here.
-                        let (pi, v, flipped) = stack.pop().expect("nonempty");
-                        let mark = trail_marks.pop().expect("marks");
-                        self.undo_to(mark);
-                        backtracks += 1;
-                        if backtracks > self.backtrack_limit {
-                            return AtpgOutcome::Aborted;
-                        }
-                        if !flipped {
-                            let mark = self.trail.len();
-                            if self.assign(pi, !v) {
-                                stack.push((pi, !v, true));
-                                trail_marks.push(mark);
-                            } else {
-                                self.undo_to(mark);
-                            }
-                        }
-                        continue;
-                    };
-                    let Some((pi, pi_val)) = self.backtrace(obj_node, obj_val) else {
-                        // Objective unreachable from any free PI: conflict.
-                        if stack.is_empty() {
-                            return AtpgOutcome::Untestable;
-                        }
-                        let (pi, v, flipped) = stack.pop().expect("nonempty");
-                        let mark = trail_marks.pop().expect("marks");
-                        self.undo_to(mark);
-                        backtracks += 1;
-                        if backtracks > self.backtrack_limit {
-                            return AtpgOutcome::Aborted;
-                        }
-                        if !flipped {
-                            let mark = self.trail.len();
-                            if self.assign(pi, !v) {
-                                stack.push((pi, !v, true));
-                                trail_marks.push(mark);
-                            } else {
-                                self.undo_to(mark);
-                            }
-                        }
-                        continue;
-                    };
-                    let mark = self.trail.len();
-                    if self.assign(pi, pi_val) {
-                        stack.push((pi, pi_val, false));
-                        trail_marks.push(mark);
-                    } else {
-                        // Immediate conflict from this assignment: try the
-                        // other value as a decision.
-                        self.undo_to(mark);
-                        let mark = self.trail.len();
-                        if self.assign(pi, !pi_val) {
-                            stack.push((pi, !pi_val, true));
-                            trail_marks.push(mark);
-                        } else {
-                            self.undo_to(mark);
-                            if stack.is_empty() {
-                                return AtpgOutcome::Untestable;
-                            }
-                            backtracks += 1;
-                            if backtracks > self.backtrack_limit {
-                                return AtpgOutcome::Aborted;
-                            }
-                            let (pi2, v2, flipped) = stack.pop().expect("nonempty");
-                            let mark2 = trail_marks.pop().expect("marks");
-                            self.undo_to(mark2);
-                            if !flipped {
-                                let mark3 = self.trail.len();
-                                if self.assign(pi2, !v2) {
-                                    stack.push((pi2, !v2, true));
-                                    trail_marks.push(mark3);
-                                } else {
-                                    self.undo_to(mark3);
-                                }
-                            }
+                    match self.objective(fault).and_then(|(n, v)| self.backtrace(n, v)) {
+                        Some((pi, value)) => self.decide(pi, value, false),
+                        // No objective, or none reachable from a free input:
+                        // undo the newest decision and look again.
+                        None => {
+                            self.backtrack(&mut backtracks)?;
                         }
                     }
                 }
@@ -274,10 +238,34 @@ impl<'a> Podem<'a> {
         }
     }
 
-    fn reset(&mut self) {
-        self.good.fill(Logic::X);
-        self.faulty.fill(Logic::X);
-        self.trail.clear();
+    /// Pops the newest decision and, if its other value is untried, takes
+    /// that value as a flipped decision (returning `true`). Ends the search
+    /// with `Untestable` when no decision is left and with `Aborted` when
+    /// the backtrack limit is exceeded.
+    fn backtrack(&mut self, backtracks: &mut usize) -> Result<bool, AtpgOutcome> {
+        let Some(d) = self.decisions.pop() else {
+            return Err(AtpgOutcome::Untestable);
+        };
+        self.undo_to(d.mark);
+        *backtracks += 1;
+        if *backtracks > self.backtrack_limit {
+            return Err(AtpgOutcome::Aborted);
+        }
+        if d.flipped {
+            return Ok(false);
+        }
+        self.decide(d.pi, !d.value, true);
+        Ok(true)
+    }
+
+    /// Assigns a PI, runs forward implication and pushes the decision.
+    fn decide(&mut self, pi: NodeId, value: bool, flipped: bool) {
+        debug_assert!(self.assignable[pi.index()]);
+        let mark = self.trail.len();
+        let v = Logic::from_bool(value);
+        self.set_value(pi, v, v);
+        self.imply_from(pi);
+        self.decisions.push(Decision { pi, value, flipped, mark });
     }
 
     fn set_value(&mut self, node: NodeId, g: Logic, f: Logic) {
@@ -294,88 +282,69 @@ impl<'a> Podem<'a> {
         }
     }
 
-    /// Assigns a PI and runs forward implication. Returns `false` on an
-    /// immediate excitation conflict (site good value forced equal to the
-    /// stuck value). The caller must `undo_to` its mark on `false`.
-    fn assign(&mut self, pi: NodeId, value: bool) -> bool {
-        debug_assert!(self.assignable[pi.index()]);
-        let v = Logic::from_bool(value);
-        self.set_value(pi, v, v);
-        self.imply_from(pi)
-    }
-
-    /// Event-driven forward implication from `start`. The fault transform
-    /// of the current target is applied by [`Podem::generate`]'s status
-    /// checks instead of being burned in here; faulty values diverge at
-    /// the site via `site_transform`.
-    fn imply_from(&mut self, start: NodeId) -> bool {
-        let mut queue: Vec<NodeId> = self.cc.fanouts(start).to_vec();
-        let mut qi = 0;
-        while qi < queue.len() {
-            let node = queue[qi];
-            qi += 1;
-            if self.cc.kind(node) == GateKind::Dff {
+    /// Event-driven forward implication from `start`, in strict FIFO
+    /// order. Faulty values diverge at the site through `eval_node`.
+    fn imply_from(&mut self, start: NodeId) {
+        let cc = self.cc;
+        self.queue.clear();
+        self.queue.extend_from_slice(cc.fanouts(start));
+        let mut head = 0;
+        while head < self.queue.len() {
+            let node = self.queue[head];
+            head += 1;
+            if cc.kind(node) == GateKind::Dff {
                 continue;
             }
             let (g, f) = self.eval_node(node);
             if g != self.good[node.index()] || f != self.faulty[node.index()] {
                 self.set_value(node, g, f);
-                for &succ in self.cc.fanouts(node) {
-                    queue.push(succ);
-                }
+                self.queue.extend_from_slice(cc.fanouts(node));
             }
         }
-        true
     }
 
     /// Evaluates a node's (good, faulty) pair, applying the current fault
-    /// transform (set in `generate` via `self.target`).
+    /// transform at the site.
     fn eval_node(&self, node: NodeId) -> (Logic, Logic) {
         let kind = self.cc.kind(node);
         let fi = self.cc.fanins(node);
-        let mut gv = Vec::with_capacity(fi.len());
-        let mut fv = Vec::with_capacity(fi.len());
-        for &f in fi {
-            gv.push(self.good[f.index()]);
-            fv.push(self.faulty[f.index()]);
-        }
-        if let Some(t) = &self.target {
-            if let (Some(pin), true) = (t.fault.pin, t.fault.node == node) {
-                fv[pin as usize] = Logic::from_bool(t.stuck);
-            }
-        }
-        let g = eval_logic(kind, &gv);
-        let mut f = eval_logic(kind, &fv);
-        if let Some(t) = &self.target {
-            if t.fault.pin.is_none() && t.fault.node == node {
-                f = Logic::from_bool(t.stuck);
-            }
-        }
-        (g, f)
+        let good = eval_logic_with(kind, fi.len(), |i| self.good[fi[i].index()]);
+        let faulty = match self.target {
+            Some(t) if t.site == node => match t.pin {
+                None => t.stuck,
+                Some(pin) => eval_logic_with(kind, fi.len(), |i| {
+                    if i == pin as usize {
+                        t.stuck
+                    } else {
+                        self.faulty[fi[i].index()]
+                    }
+                }),
+            },
+            _ => eval_logic_with(kind, fi.len(), |i| self.faulty[fi[i].index()]),
+        };
+        (good, faulty)
     }
 
-    /// Nodes that may currently carry a fault effect: everything the trail
-    /// touched (values only change through `set_value`) plus the site.
-    fn d_nodes(&mut self, site: NodeId) -> Vec<NodeId> {
+    /// Refills `d_nodes`: the nodes that carry a fault effect now. Only
+    /// nodes the trail touched (values change only through `set_value`)
+    /// and the site can, taken in the trail's first-occurrence order.
+    fn collect_d_nodes(&mut self, site: NodeId) {
         self.bump_epoch();
         let epoch = self.scratch_epoch;
-        let mut out = Vec::new();
+        self.d_nodes.clear();
         for &(n, _, _) in &self.trail {
             if self.scratch_stamp[n.index()] != epoch {
                 self.scratch_stamp[n.index()] = epoch;
-                let (g, f) = (self.good[n.index()], self.faulty[n.index()]);
-                if !g.is_x() && !f.is_x() && g != f {
-                    out.push(n);
+                if carries_d(self.good[n.index()], self.faulty[n.index()]) {
+                    self.d_nodes.push(n);
                 }
             }
         }
-        if self.scratch_stamp[site.index()] != epoch {
-            let (g, f) = (self.good[site.index()], self.faulty[site.index()]);
-            if !g.is_x() && !f.is_x() && g != f {
-                out.push(site);
-            }
+        if self.scratch_stamp[site.index()] != epoch
+            && carries_d(self.good[site.index()], self.faulty[site.index()])
+        {
+            self.d_nodes.push(site);
         }
-        out
     }
 
     fn bump_epoch(&mut self) {
@@ -387,70 +356,59 @@ impl<'a> Podem<'a> {
     }
 
     fn status(&mut self, fault: &Fault) -> Status {
-        // Ensure the fault transform is installed (stem faults at sources
-        // never get re-evaluated, so handle them here).
-        let stuck = fault.kind.faulty_value();
+        let stuck = Logic::from_bool(fault.kind.faulty_value());
         let site = fault.node;
         if fault.pin.is_none() {
             let g = self.good[site.index()];
-            if g == Logic::from_bool(stuck) {
+            if g == stuck {
                 return Status::Conflict; // cannot excite
             }
-            // Install faulty value at the stem.
-            if self.faulty[site.index()] != Logic::from_bool(stuck) && g != Logic::X {
-                self.set_value(site, g, Logic::from_bool(stuck));
+            // Stem faults at sources are never evaluated: install the
+            // faulty value here once the good value is known.
+            if self.faulty[site.index()] != stuck && !g.is_x() {
+                self.set_value(site, g, stuck);
                 self.imply_from(site);
             }
         }
-        // Detection: only changed nodes can carry a D; scan the trail.
-        let d_nodes = self.d_nodes(site);
-        for &n in &d_nodes {
-            if self.observed[n.index()] {
-                return Status::Detected;
-            }
+        self.collect_d_nodes(site);
+        if self.d_nodes.iter().any(|n| self.observed[n.index()]) {
+            return Status::Detected;
         }
-
-        // Excitation still open?
-        let excitable = if let Some(pin) = fault.pin {
+        if let Some(pin) = fault.pin {
             let src = self.cc.fanins(site)[pin as usize];
-            let g = self.good[src.index()];
-            if g == Logic::from_bool(stuck) {
-                return Status::Conflict;
+            if self.good[src.index()] == stuck {
+                return Status::Conflict; // cannot excite
             }
-            true
-        } else {
-            self.good[site.index()].is_x() || self.good[site.index()] != Logic::from_bool(stuck)
-        };
-        if !excitable {
-            return Status::Conflict;
         }
-
-        // X-path check: one multi-source BFS from every live D node (or
-        // the still-unexcited site) toward an observed node.
-        let sources = if d_nodes.is_empty() { vec![site] } else { d_nodes };
-        if self.x_path_to_observed(&sources) {
+        if self.x_path_to_observed(site) {
             Status::Undecided
         } else {
             Status::Conflict
         }
     }
 
-    /// Multi-source BFS forward through not-yet-blocked logic toward any
+    /// Multi-source search forward through not-yet-blocked logic from
+    /// every live D node (or the still-unexcited site) toward any
     /// observed node.
-    fn x_path_to_observed(&mut self, from: &[NodeId]) -> bool {
+    fn x_path_to_observed(&mut self, site: NodeId) -> bool {
         self.bump_epoch();
         let epoch = self.scratch_epoch;
-        let mut queue = from.to_vec();
-        for n in &queue {
+        let cc = self.cc;
+        self.xpath.clear();
+        if self.d_nodes.is_empty() {
+            self.xpath.push(site);
+        } else {
+            self.xpath.extend_from_slice(&self.d_nodes);
+        }
+        for &n in &self.xpath {
             self.scratch_stamp[n.index()] = epoch;
         }
-        while let Some(n) = queue.pop() {
+        while let Some(n) = self.xpath.pop() {
             if self.observed[n.index()] {
                 return true;
             }
-            for &succ in self.cc.fanouts(n) {
-                if self.scratch_stamp[succ.index()] == epoch || self.cc.kind(succ) == GateKind::Dff
-                {
+            for &succ in cc.fanouts(n) {
+                if self.scratch_stamp[succ.index()] == epoch || cc.kind(succ) == GateKind::Dff {
                     continue;
                 }
                 // Blocked if the successor's good value is already definite
@@ -462,14 +420,14 @@ impl<'a> Podem<'a> {
                     continue;
                 }
                 self.scratch_stamp[succ.index()] = epoch;
-                queue.push(succ);
+                self.xpath.push(succ);
             }
         }
         false
     }
 
     /// PODEM objective: excite first, then extend a D-frontier gate.
-    fn objective(&mut self, fault: &Fault) -> Option<(NodeId, bool)> {
+    fn objective(&self, fault: &Fault) -> Option<(NodeId, bool)> {
         let stuck = fault.kind.faulty_value();
         match fault.pin {
             None => {
@@ -503,11 +461,11 @@ impl<'a> Podem<'a> {
             }
         }
         // D-frontier: a gate whose output is X but some input carries a D.
-        // Only readers of changed (D-carrying) nodes qualify; among the
-        // candidates, extend the gate closest to an observed node (the
-        // classic distance-to-PO guidance).
+        // Only readers of D-carrying nodes (the list `status` just built)
+        // qualify; among the candidates, extend the gate closest to an
+        // observed node (the classic distance-to-PO guidance).
         let mut best: Option<(u32, NodeId, bool)> = None;
-        for d_node in self.d_nodes(fault.node) {
+        for &d_node in &self.d_nodes {
             for &reader in self.cc.fanouts(d_node) {
                 let i = reader.index();
                 if !(self.good[i].is_x() || self.faulty[i].is_x()) {
@@ -526,8 +484,8 @@ impl<'a> Podem<'a> {
                 let mut has_d = false;
                 let mut x_input = None;
                 for &f in self.cc.fanins(reader) {
-                    let (g, fv) = (self.good[f.index()], self.faulty[f.index()]);
-                    if !g.is_x() && !fv.is_x() && g != fv {
+                    let g = self.good[f.index()];
+                    if carries_d(g, self.faulty[f.index()]) {
                         has_d = true;
                     } else if g.is_x() && x_input.is_none() {
                         x_input = Some(f);
@@ -613,18 +571,16 @@ impl<'a> Podem<'a> {
     }
 }
 
+/// A `(good, faulty)` pair carries a fault effect (`D` or `D̄`).
+fn carries_d(good: Logic, faulty: Logic) -> bool {
+    !good.is_x() && !faulty.is_x() && good != faulty
+}
+
 #[derive(Debug, PartialEq, Eq)]
 enum Status {
     Detected,
     Conflict,
     Undecided,
-}
-
-impl<'a> Podem<'a> {
-    /// Installs the fault transform used by `eval_node`.
-    fn install_target(&mut self, fault: &Fault) {
-        self.target = Some(Target { fault: *fault, stuck: fault.kind.faulty_value() });
-    }
 }
 
 #[cfg(test)]

@@ -104,8 +104,7 @@ pub struct TopUpAtpg<'a> {
 
 impl<'a> TopUpAtpg<'a> {
     /// Creates the flow over the given observation set. Generation uses
-    /// the shared `lbist-exec` pool; see [`TopUpAtpg::set_threads`] and
-    /// [`TopUpAtpg::serial`].
+    /// the shared `lbist-exec` pool; see [`TopUpAtpg::set_threads`].
     pub fn new(cc: &'a CompiledCircuit, observed: Vec<NodeId>) -> Self {
         TopUpAtpg {
             cc,
@@ -133,13 +132,6 @@ impl<'a> TopUpAtpg<'a> {
         assert!(n > 0, "at least one generation thread is required");
         self.threads = n;
         self.threads_auto = false;
-        self
-    }
-
-    /// Pins generation to the calling thread (the determinism escape
-    /// hatch — though parallel runs are byte-identical anyway).
-    pub fn serial(mut self) -> Self {
-        self.set_threads(1);
         self
     }
 
@@ -377,11 +369,7 @@ mod tests {
 
         let run = |threads: usize| {
             let mut atpg = TopUpAtpg::new(&cc, StuckAtSim::observe_all_captures(&cc));
-            if threads == 1 {
-                atpg = atpg.serial();
-            } else {
-                atpg.set_threads(threads);
-            }
+            atpg.set_threads(threads);
             // A low limit forces the two-pass abort-rescheduling path.
             atpg.set_backtrack_limit(64);
             atpg.run(&targets, 29)

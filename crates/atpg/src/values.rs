@@ -25,21 +25,30 @@ use lbist_sim::Logic;
 /// assert_eq!(eval_logic(GateKind::And, &[Logic::Zero, Logic::X]), Logic::Zero);
 /// ```
 pub fn eval_logic(kind: GateKind, fanins: &[Logic]) -> Logic {
+    eval_logic_with(kind, fanins.len(), |i| fanins[i])
+}
+
+/// [`eval_logic`] over `n` fanin values read through `at(pin)`: the one
+/// definition of the ternary gate semantics. PODEM reads its node value
+/// arrays through it directly instead of gathering them into a buffer.
+#[inline]
+pub(crate) fn eval_logic_with(kind: GateKind, n: usize, at: impl Fn(usize) -> Logic) -> Logic {
     match kind {
-        GateKind::Buf | GateKind::Output => fanins[0],
-        GateKind::Not => !fanins[0],
-        GateKind::And => fanins.iter().fold(Logic::One, |acc, &v| acc & v),
-        GateKind::Nand => !fanins.iter().fold(Logic::One, |acc, &v| acc & v),
-        GateKind::Or => fanins.iter().fold(Logic::Zero, |acc, &v| acc | v),
-        GateKind::Nor => !fanins.iter().fold(Logic::Zero, |acc, &v| acc | v),
-        GateKind::Xor => fanins.iter().fold(Logic::Zero, |acc, &v| acc ^ v),
-        GateKind::Xnor => !fanins.iter().fold(Logic::Zero, |acc, &v| acc ^ v),
-        GateKind::Mux2 => match fanins[0] {
-            Logic::Zero => fanins[1],
-            Logic::One => fanins[2],
+        GateKind::Buf | GateKind::Output => at(0),
+        GateKind::Not => !at(0),
+        GateKind::And => (0..n).fold(Logic::One, |acc, i| acc & at(i)),
+        GateKind::Nand => !(0..n).fold(Logic::One, |acc, i| acc & at(i)),
+        GateKind::Or => (0..n).fold(Logic::Zero, |acc, i| acc | at(i)),
+        GateKind::Nor => !(0..n).fold(Logic::Zero, |acc, i| acc | at(i)),
+        GateKind::Xor => (0..n).fold(Logic::Zero, |acc, i| acc ^ at(i)),
+        GateKind::Xnor => !(0..n).fold(Logic::Zero, |acc, i| acc ^ at(i)),
+        GateKind::Mux2 => match at(0) {
+            Logic::Zero => at(1),
+            Logic::One => at(2),
             Logic::X => {
-                if fanins[1] == fanins[2] && !fanins[1].is_x() {
-                    fanins[1]
+                let (a, b) = (at(1), at(2));
+                if a == b && !a.is_x() {
+                    a
                 } else {
                     Logic::X
                 }

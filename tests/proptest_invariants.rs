@@ -369,6 +369,54 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// PODEM is sound on every stuck-at representative: a `Test` cube
+    /// detects its fault under every random fill, and an `Untestable`
+    /// verdict survives exhaustive simulation of all 2^n input vectors.
+    #[test]
+    fn podem_verdicts_are_sound(nl in arb_comb_netlist(), fill_seed: u64) {
+        use lbist::atpg::{AtpgOutcome, Podem};
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+
+        let cc = CompiledCircuit::compile(&nl).unwrap();
+        let observed = StuckAtSim::observe_all_captures(&cc);
+        let mut podem = Podem::new(&cc, observed.clone());
+        let mut rng = SmallRng::seed_from_u64(fill_seed);
+        let mut untestable = Vec::new();
+        for fault in FaultUniverse::stuck_at(&nl).representatives() {
+            match podem.generate(&fault) {
+                AtpgOutcome::Test(cube) => {
+                    for _ in 0..4 {
+                        let mut frame = cc.new_frame();
+                        cube.fill(&cc, &mut rng).load_into_lane(&cc, &mut frame, 0);
+                        let mut sim = StuckAtSim::new(&cc, vec![fault], observed.clone());
+                        sim.run_batch(&mut frame, 1);
+                        prop_assert!(sim.detections()[0] > 0, "cube misses {}", fault);
+                    }
+                }
+                AtpgOutcome::Untestable => untestable.push(fault),
+                AtpgOutcome::Aborted => {}
+            }
+        }
+        // At most 5 inputs: every input vector fits in one 64-lane frame,
+        // lane k carrying vector k.
+        let vectors = 1usize << cc.inputs().len();
+        let mut frame = cc.new_frame();
+        for (j, &pi) in cc.inputs().iter().enumerate() {
+            frame[pi.index()] =
+                (0..vectors).filter(|k| k >> j & 1 == 1).fold(0u64, |w, k| w | 1 << k);
+        }
+        let mut sim = StuckAtSim::new(&cc, untestable.clone(), observed);
+        sim.run_batch(&mut frame, vectors);
+        for (fault, &d) in untestable.iter().zip(sim.detections()) {
+            prop_assert_eq!(d, 0, "{} called untestable but a vector detects it", fault);
+        }
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Ternary scalar algebra is associative/commutative where it should
