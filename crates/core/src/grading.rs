@@ -328,7 +328,8 @@ impl<'a, W: LaneWord> WideGradingSession<'a, W> {
 
     /// Switches grading to the per-gate interpreter instead of the
     /// compiled word-op kernel. The kernel is the default; this is the
-    /// reference path benchmarks and equivalence tests diff it against
+    /// serial reference path benchmarks and equivalence tests diff it
+    /// against, and it ignores [`WideGradingSession::set_threads`]
     /// (outcomes are bit-identical either way, test-enforced).
     pub fn use_interpreter(&mut self) -> &mut Self {
         self.kernel = GradingKernel::Interpreter;
@@ -1052,6 +1053,42 @@ mod tests {
             trans_kernel,
             "transition: prebuilt program diverged"
         );
+    }
+
+    /// A metered session records the kernel telemetry a traced grading
+    /// pass reads: one `sim.kernel.compile_ns` sample per run, and
+    /// `sim.kernel.instrs` equal to the size of the program each run
+    /// lowers. A session on the reference lowers nothing and records
+    /// neither.
+    #[test]
+    fn session_records_kernel_lowering_telemetry() {
+        let c = core();
+        let cc = CompiledCircuit::compile(&c.netlist).unwrap();
+        let faults = FaultUniverse::stuck_at(&c.netlist).representatives();
+        let stumps = StumpsConfig::default();
+        let observed = lbist_fault::StuckAtSim::observe_all_captures(&cc);
+        let keep = lbist_fault::grading_keep_set(&cc, &[faults.as_slice()], &observed);
+        let instrs = KernelProgram::lower(&cc, &keep).num_instrs() as u64;
+        assert!(instrs > 0);
+
+        let registry = lbist_obs::Registry::new();
+        let mut session: WideGradingSession<'_, u64> = WideGradingSession::new(&c, &cc, &stumps);
+        session.set_metrics(GradingMetrics::from_registry(&registry));
+        session.run_stuck_at(faults.clone(), 1);
+        assert_eq!(registry.histogram("sim.kernel.compile_ns").count(), 1);
+        assert_eq!(registry.counter("sim.kernel.instrs").value(), instrs);
+        session.run_stuck_at(faults.clone(), 1);
+        assert_eq!(registry.histogram("sim.kernel.compile_ns").count(), 2, "one sample per run");
+        assert_eq!(registry.counter("sim.kernel.instrs").value(), 2 * instrs);
+
+        let registry = lbist_obs::Registry::new();
+        let mut reference: WideGradingSession<'_, u64> = WideGradingSession::new(&c, &cc, &stumps);
+        reference.set_metrics(GradingMetrics::from_registry(&registry));
+        reference.use_interpreter();
+        reference.run_stuck_at(faults, 1);
+        assert_eq!(registry.counter("grading.batches").value(), 1, "the reference graded");
+        assert_eq!(registry.histogram("sim.kernel.compile_ns").count(), 0);
+        assert_eq!(registry.counter("sim.kernel.instrs").value(), 0);
     }
 
     /// Reruns of the same session reproduce the same outcome (the

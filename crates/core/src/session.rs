@@ -606,15 +606,7 @@ impl<'a> SelfTestSession<'a> {
                     "session injection supports stem stuck-at faults"
                 );
                 let forced = if f.kind.faulty_value() { !0u64 } else { 0 };
-                if self.cc.kind(f.node).is_frame_source() {
-                    frame[f.node.index()] = forced;
-                }
-                for &node in self.cc.schedule() {
-                    frame[node.index()] = self.cc.eval_node2(node, frame);
-                    if node == f.node {
-                        frame[node.index()] = forced;
-                    }
-                }
+                self.cc.eval2_forced(frame, f.node, forced);
             }
         }
     }

@@ -28,7 +28,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod control_points;
 mod cop;
 mod overhead;
 mod prep;
@@ -37,7 +36,6 @@ mod tpi;
 mod wrap;
 mod xbound;
 
-pub use control_points::{ControlKind, ControlPointPlan};
 pub use cop::CopMeasures;
 pub use overhead::DftOverhead;
 pub use prep::{prepare_core, BistReadyCore, PrepConfig, TpiMethod};

@@ -243,7 +243,7 @@ pub fn insert_observation_points(netlist: &mut Netlist, sites: &[NodeId]) -> Vec
 mod tests {
     use super::*;
     use lbist_fault::{Fault, FaultKind, FaultUniverse, StuckAtSim};
-    use lbist_netlist::Netlist;
+    use lbist_netlist::{Netlist, NetlistStats};
 
     /// A circuit with a deliberately unobservable cone: an XOR tree whose
     /// only path to the output runs through an AND gated by a 12-input AND
@@ -384,5 +384,17 @@ mod tests {
         assert_eq!(after, before_readers, "functional fanout must be untouched");
         assert_eq!(nl.fanins(cells[0]), &[hidden]);
         assert!(nl.validate().is_ok());
+    }
+
+    #[test]
+    fn observation_points_add_no_functional_depth() {
+        let (mut nl, hidden) = shadowed();
+        let depth_before = NetlistStats::compute(&nl).depth;
+        insert_observation_points(&mut nl, &[hidden]);
+        assert_eq!(
+            NetlistStats::compute(&nl).depth,
+            depth_before,
+            "observation points add no functional depth — the paper's point"
+        );
     }
 }

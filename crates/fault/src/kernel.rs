@@ -6,8 +6,8 @@
 //! [`crate::FaultSim::set_kernel`]. Fault-free evaluation runs the flat
 //! bytecode, and per-fault replay is patched-instruction execution
 //! instead of the netlist-walking [`crate::propagate::Propagator`] (kept
-//! as the interpreter reference), in the shape that fits each fault
-//! model:
+//! for the serial gate-level reference and TPI's reach profile), in the
+//! shape that fits each fault model:
 //!
 //! * **Stuck-at** faults replay as a **patched suffix re-execution**.
 //!   Each worker keeps a *shadow frame*; injecting a fault writes the
@@ -26,12 +26,12 @@
 //!   operands): only instructions an actually-changed word feeds are
 //!   re-evaluated, level-ordered, against an epoch-stamped overlay.
 //!   Window replay re-simulates every frame for every fault, and most
-//!   frames carry no difference at all — there the interpreter's
+//!   frames carry no difference at all — there the `Propagator`'s
 //!   early-dying events are the right shape, minus its `GateKind` match
 //!   and fanin gather, with fused NOT/BUF chains costing zero events.
 //!
 //! Both paths are bit-identical to [`KernelProgram::execute_patched`]
-//! (and to the interpreter), at a fraction of the work.
+//! (and to the serial reference), at a fraction of the work.
 //!
 //! The plans here are built once per (program, fault list, observation
 //! set) and validated up front: every node the replay reads — fault
@@ -43,7 +43,7 @@
 use crate::model::Fault;
 use crate::sim::engine::Batch;
 use crate::sim::CANCEL_POLL_STRIDE;
-use crate::transition::CaptureWindow;
+use crate::transition::{activation, CaptureWindow};
 use lbist_exec::{CancelToken, LaneWord};
 use lbist_netlist::{GateKind, NodeId};
 use lbist_sim::{eval_gate, CompiledCircuit, KernelProgram, SlotState};
@@ -128,8 +128,7 @@ impl EventEdges {
 /// Per-worker replay scratch for the kernel path: the stuck-at shadow
 /// frame, the epoch-stamped faulty-slot overlay and level-bucketed event
 /// queue of the transition drain, plus the transition window state —
-/// reused across faults and batches (the kernel twin of `Propagator` +
-/// `ReplayScratch`).
+/// reused across faults and batches.
 #[derive(Debug)]
 pub struct KernelScratch<W: LaneWord> {
     /// Stuck-at suffix-execution frame: equals the fault-free frame on
@@ -323,12 +322,12 @@ enum Inject {
     /// The injection site is a flip-flop (stem on Q, or a branch on the
     /// D pin): the forced value is captured directly, detection compares
     /// it against the fault-free `D` source. `excite_site` carries the
-    /// stem case's excitation check at the Q slot (the interpreter skips
+    /// stem case's excitation check at the Q slot (the reference skips
     /// a stem fault whose site already holds the forced word).
     DPin { site: u32, d_src: u32, force1: bool, excite_site: bool },
     /// No observed slot is forward-reachable from the site (and the site
     /// itself is unobserved): the detection word is identically zero for
-    /// every pattern, on the interpreter as much as here, so the fault
+    /// every pattern, on the reference as much as here, so the fault
     /// costs nothing per batch. Resolved by a single reverse
     /// reachability pass at plan build.
     Dead,
@@ -423,7 +422,7 @@ impl StuckKernelPlan {
         // forward-reachable from `s` (or `s` is observed itself). One
         // reverse pass suffices because operands are defined at strictly
         // lower instruction indices. Faults below an unreachable site
-        // can never be detected — the interpreter's diff scan over
+        // can never be detected — the reference's diff scan over
         // observed slots is identically zero for them — so they are
         // planned as [`Inject::Dead`] and skipped per batch.
         let mut reaches = observed.to_vec();
@@ -608,10 +607,10 @@ impl<'a> ConeBuilder<'a> {
     }
 }
 
-/// Kernel twin of `StuckAt::grade_shard`: grades one shard of the
-/// active-fault list against the shared fault-free frame using
-/// precomputed injections and patched replay. Same cancellation protocol, same shard contract,
-/// bit-identical detection words.
+/// The stuck-at kernel grader: grades one shard of the active-fault list
+/// against the shared fault-free frame using precomputed injections and
+/// patched replay, bit-identical to the serial reference's detection
+/// words.
 ///
 /// Injection resolution and replay are split so adjacent faults that
 /// share a replay can run it **paired**: the level-sorted active list
@@ -843,7 +842,7 @@ fn prepare<W: LaneWord>(
             let forced = if force1 { W::ones() } else { W::zero() };
             // A stem fault on the flip-flop is skipped whole when its
             // Q word already equals the forced value (the
-            // interpreter's word-level excitation check); the D-pin
+            // reference's word-level excitation check); the D-pin
             // branch needs no check — an unexcited pin XORs to zero.
             if excite_site && forced == frame[site as usize] {
                 Prepared::Done(W::zero())
@@ -1145,9 +1144,9 @@ impl TransitionKernelPlan {
     }
 }
 
-/// Kernel twin of `Transition::grade_shard`: replays one shard of
-/// transition faults across the capture window. Fault state crosses frames through the
-/// flip-flop overlay exactly as in the interpreter; within a frame the
+/// The transition kernel grader: replays one shard of transition faults
+/// across the capture window. Fault state crosses frames through the
+/// flip-flop overlay exactly as in the serial reference; within a frame the
 /// dirty flip-flops and (when the launch activates it) the pinned site
 /// seed the event queue, and only instructions an actually-changed word
 /// feeds are re-evaluated.
@@ -1172,7 +1171,7 @@ pub(crate) fn kernel_replay_shard<W: LaneWord>(
         let site_slot = site.index();
         scratch.overlay.clear();
 
-        // Activation precompute — identical to the interpreter: where
+        // Activation precompute — the reference's activation rule: where
         // each at-speed frame's launch creates the slow transition.
         scratch.activation.clear();
         scratch.activation.resize(nframes, W::zero());
@@ -1183,13 +1182,7 @@ pub(crate) fn kernel_replay_shard<W: LaneWord>(
                 continue;
             }
             let prev = good_frames[frame - 1][site_slot];
-            let cur = good_frames[frame][site_slot];
-            let act = (match fault.kind {
-                crate::FaultKind::SlowToRise => prev.not().and(cur),
-                crate::FaultKind::SlowToFall => prev.and(cur.not()),
-                _ => unreachable!(),
-            })
-            .and(lane_mask);
+            let act = activation(fault.kind, prev, good_frames[frame][site_slot]).and(lane_mask);
             if !act.is_zero() {
                 scratch.activation[frame] = act;
                 first_active = first_active.min(frame);
@@ -1227,7 +1220,7 @@ pub(crate) fn kernel_replay_shard<W: LaneWord>(
             let mut pin = usize::MAX;
             if !act.is_zero() {
                 // Seed the site after the flip-flop overlay so a dirty
-                // site reads its faulty word (the interpreter's
+                // site reads its faulty word (the reference's
                 // `prop.value` order); the pin keeps the injected value
                 // authoritative in the drain.
                 let cur = if scratch.mark[site_slot] == scratch.epoch {

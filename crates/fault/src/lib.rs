@@ -17,11 +17,11 @@
 //!   the default `u64` frames, 128/256/512 for `u128`/`[u64; 4]`/
 //!   `[u64; 8]`), a level-ordered active list sharded across the
 //!   `lbist-exec` pool, fault dropping and n-detect counting, the
-//!   compiled kernel it grades on (the gate interpreter stays as the
-//!   reference, selected with `set_kernel(None)`), cancellation, and
-//!   checkpoint restore. A [`FaultModel`] supplies only the fault-free
-//!   evaluation, the per-shard graders, and the word the scan unload
-//!   reads.
+//!   compiled kernel it grades on, cancellation, and checkpoint restore.
+//!   `set_kernel(None)` selects the serial gate-level reference the
+//!   kernel is diffed against. A [`FaultModel`] supplies only the
+//!   fault-free evaluation, the kernel's per-shard grader, the
+//!   reference grader, and the word the scan unload reads.
 //! * [`StuckAtSim`] / [`WideStuckAtSim`] — the simulator under the
 //!   [`StuckAt`] model: PPSFP, fault-free simulation followed by a
 //!   patched-instruction replay of each fault's downstream logic.

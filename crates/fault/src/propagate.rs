@@ -8,10 +8,11 @@ use lbist_sim::{eval_gate, CompiledCircuit};
 
 /// Reusable scratch state for event-driven fault propagation.
 ///
-/// One `Propagator` is allocated per simulator and reused across millions
-/// of fault injections; per-fault cleanup is O(1) thanks to epoch stamps.
+/// The serial reference builds one `Propagator` per batch and reuses it
+/// for every fault injection; per-fault cleanup is O(1) thanks to epoch
+/// stamps.
 #[derive(Debug)]
-pub struct Propagator<W: LaneWord = u64> {
+pub(crate) struct Propagator<W: LaneWord = u64> {
     faulty: Vec<W>,
     stamp: Vec<u32>,
     epoch: u32,
@@ -123,6 +124,35 @@ impl<W: LaneWord> Propagator<W> {
             self.buckets[level].clear();
         }
     }
+
+    /// Injects stuck-at `fault` into the fault-free `good` frame and
+    /// propagates it: `on_diff(node, diff)` fires for the injection node
+    /// and every node the effect reaches. A flip-flop `D`-pin fault is
+    /// captured directly, so it reports its diff at the flip-flop site
+    /// with no propagation inside the frame.
+    ///
+    /// Returns `false` when no lane excites the fault.
+    pub(crate) fn stuck_at(
+        &mut self,
+        cc: &CompiledCircuit,
+        fault: &Fault,
+        good: &[W],
+        mut on_diff: impl FnMut(NodeId, W),
+    ) -> bool {
+        let Some((site, word)) = inject_stuck_at(cc, fault, good) else {
+            return false;
+        };
+        if cc.kind(site) == GateKind::Dff {
+            on_diff(site, word.xor(good[cc.fanins(site)[0].index()]));
+            return true;
+        }
+        self.begin();
+        self.set(site, word);
+        on_diff(site, word.xor(good[site.index()]));
+        self.enqueue_fanouts(cc, site);
+        self.run(cc, good, None, on_diff);
+        true
+    }
 }
 
 /// Computes a stuck-at fault's injection: the faulty word at the injection
@@ -205,25 +235,10 @@ pub fn propagate_fault<W: LaneWord>(
     cc: &CompiledCircuit,
     fault: &Fault,
     good_frame: &[W],
-    mut visitor: impl FnMut(NodeId, W),
+    visitor: impl FnMut(NodeId, W),
 ) -> bool {
     assert!(fault.kind.is_stuck_at(), "propagate_fault grades stuck-at faults");
-    let mut prop: Propagator<W> = Propagator::new(cc);
-    prop.begin();
-    let Some((site, word)) = inject_stuck_at(cc, fault, good_frame) else {
-        return false;
-    };
-    if cc.kind(site) == GateKind::Dff {
-        // D-pin branch fault: visible at the flop itself, no propagation
-        // inside this frame.
-        visitor(site, word.xor(good_frame[cc.fanins(site)[0].index()]));
-        return true;
-    }
-    prop.set(site, word);
-    visitor(site, word.xor(good_frame[site.index()]));
-    prop.enqueue_fanouts(cc, site);
-    prop.run(cc, good_frame, None, visitor);
-    true
+    Propagator::new(cc).stuck_at(cc, fault, good_frame, visitor)
 }
 
 #[cfg(test)]

@@ -11,9 +11,9 @@
 //!
 //! A [`FaultModel`] supplies only what differs between models: which
 //! faults it grades, the nodes its kernel plan reads, the fault-free
-//! evaluation of a batch, the per-shard graders (kernel, plus the gate
-//! interpreter kept as the reference), and the word the scan unload
-//! reads.
+//! evaluation of a batch, the kernel's per-shard grader, the serial
+//! gate-level reference the kernel is diffed against, and the word the
+//! scan unload reads.
 //! The two models are [`crate::StuckAt`] (PPSFP over one frame) and
 //! [`crate::Transition`] (launch-on-capture across the double-capture
 //! window).
@@ -55,12 +55,12 @@ pub(crate) mod engine {
     use lbist_sim::{CompiledCircuit, KernelProgram};
     use std::fmt::Debug;
 
-    /// Read-only inputs every shard of one batch shares.
+    /// Read-only inputs every grader of one batch shares.
     #[derive(Clone, Copy)]
     pub struct Batch<'b, W> {
         /// The circuit under test.
         pub cc: &'b CompiledCircuit,
-        /// The whole fault list (shards index into it).
+        /// The whole fault list (active indices point into it).
         pub faults: &'b [Fault],
         /// The caller's batch frame after [`Engine::evaluate`].
         pub frame: &'b [W],
@@ -68,7 +68,8 @@ pub(crate) mod engine {
         pub good: &'b [Vec<W>],
         /// Lanes carrying real patterns.
         pub lane_mask: W,
-        /// Polled every [`super::CANCEL_POLL_STRIDE`] faults.
+        /// Polled every [`super::CANCEL_POLL_STRIDE`] faults of a kernel
+        /// shard.
         pub cancel: Option<&'b CancelToken>,
     }
 
@@ -77,8 +78,6 @@ pub(crate) mod engine {
         /// The caller's batch input: a frame the model evaluates in
         /// place (`&mut [W]`) or only reads (`&[W]`).
         type Frame<'f, W: LaneWord + 'f>;
-        /// Per-worker interpreter scratch, reused across batches.
-        type Scratch<W: LaneWord>: Send + Debug;
         /// Kernel replay plan, built once per (program, fault list).
         type Plan: Send + Sync + Debug;
         /// Minimum faults per worker shard before another worker is
@@ -108,19 +107,13 @@ pub(crate) mod engine {
         /// Builds the kernel replay plan, panicking when `prog` does not
         /// materialize a node grading reads.
         fn plan(&self, prog: &KernelProgram, cc: &CompiledCircuit, faults: &[Fault]) -> Self::Plan;
-        /// A fresh interpreter scratch.
-        fn scratch<W: LaneWord>(cc: &CompiledCircuit) -> Self::Scratch<W>;
-        /// Interpreter grader — the reference the kernel is diffed
-        /// against: writes each shard fault's detection word into `out`,
-        /// returning early when the batch is cancelled.
-        fn grade_shard<W: LaneWord>(
-            &self,
-            batch: &Batch<'_, W>,
-            shard: &[u32],
-            scratch: &mut Self::Scratch<W>,
-            out: &mut [W],
-        );
-        /// Kernel twin of [`Engine::grade_shard`], bit-identical to it.
+        /// The gate-level reference the kernel is diffed against:
+        /// grades every `active` fault on the calling thread, writing
+        /// each one's detection word into `out`.
+        fn reference<W: LaneWord>(&self, batch: &Batch<'_, W>, active: &[u32], out: &mut [W]);
+        /// The kernel's grader for one shard of the active list,
+        /// bit-identical to [`Engine::reference`]; returns early when
+        /// the batch is cancelled.
         fn kernel_grade_shard<W: LaneWord>(
             &self,
             prog: &KernelProgram,
@@ -151,13 +144,13 @@ pub(crate) mod engine {
 ///
 /// Grading runs on the compiled kernel: the first batch lowers a
 /// [`KernelProgram`] for this fault list unless one was installed with
-/// [`FaultSim::set_kernel`], and `set_kernel(None)` selects the gate
-/// interpreter, the reference the kernel is diffed against.
+/// [`FaultSim::set_kernel`], and `set_kernel(None)` selects the serial
+/// gate-level reference the kernel is diffed against.
 ///
 /// # Parallel grading
 ///
 /// Faults are graded independently against the shared fault-free
-/// evaluation, so the simulator shards the **active-fault list** across the
+/// evaluation, so the kernel path shards the **active-fault list** across the
 /// persistent `lbist-exec` work-stealing pool. Each worker owns a
 /// thread-local scratch (reused across batches) and writes detection
 /// words into its own slice of the batch result; the serial merge then
@@ -189,14 +182,12 @@ pub struct FaultSim<'a, M: FaultModel, W: LaneWord = u64> {
     /// explicit budget is honoured exactly (tests force sharding on tiny
     /// lists).
     threads_auto: bool,
-    /// One interpreter scratch per worker, reused across batches.
-    scratch: Vec<M::Scratch<W>>,
     /// The model's fault-free frames of the last batch.
     good: Vec<Vec<W>>,
     /// Compiled kernel program: installed by [`FaultSim::set_kernel`] or
-    /// lowered at the first batch; always `None` on the interpreter.
+    /// lowered at the first batch; always `None` on the reference.
     kernel: Option<Arc<KernelProgram>>,
-    /// `true` once `set_kernel(None)` selected the interpreter.
+    /// `true` once `set_kernel(None)` selected the reference.
     interpreter: bool,
     /// Replay plan for the kernel path, built lazily at the first batch.
     kplan: Option<M::Plan>,
@@ -206,7 +197,7 @@ pub struct FaultSim<'a, M: FaultModel, W: LaneWord = u64> {
     /// with `active`, swap-removed in lockstep during the merge).
     batch_det: Vec<W>,
     /// Cooperative cancellation: polled at batch entry, every
-    /// [`CANCEL_POLL_STRIDE`] faults within a shard, and before the
+    /// [`CANCEL_POLL_STRIDE`] faults within a kernel shard, and before the
     /// merge. A cancelled batch is never merged, so the simulator state
     /// stays at the last completed batch — clean to checkpoint.
     cancel: Option<CancelToken>,
@@ -241,7 +232,6 @@ impl<'a, M: FaultModel, W: LaneWord> FaultSim<'a, M, W> {
             patterns_run: 0,
             threads: lbist_exec::current_num_threads(),
             threads_auto: true,
-            scratch: Vec::new(),
             kernel: None,
             interpreter: false,
             kplan: None,
@@ -252,9 +242,9 @@ impl<'a, M: FaultModel, W: LaneWord> FaultSim<'a, M, W> {
         }
     }
 
-    /// Sets the worker-thread budget for subsequent batches (`1` =
-    /// serial, the determinism escape hatch). Capped shard-wise by the
-    /// number of active faults.
+    /// Sets the worker-thread budget for subsequent kernel batches (`1`
+    /// = serial, the determinism escape hatch). Capped shard-wise by the
+    /// number of active faults. The reference always grades serially.
     ///
     /// # Panics
     ///
@@ -279,9 +269,10 @@ impl<'a, M: FaultModel, W: LaneWord> FaultSim<'a, M, W> {
     /// Chooses the grading engine. `Some(program)` installs a shared
     /// compiled program — e.g. one cached across simulators on the same
     /// netlist — instead of the one the first batch would lower. `None`
-    /// selects the per-gate interpreter, the reference the kernel is
-    /// diffed against. Results are bit-identical either way
-    /// (property-tested in the bench crate).
+    /// selects the gate-level reference the kernel is diffed against: a
+    /// serial per-gate interpreter that ignores [`FaultSim::set_threads`].
+    /// Results are bit-identical either way (property-tested in the bench
+    /// crate).
     ///
     /// An installed program must have been lowered from this simulator's
     /// circuit with a keep set covering this fault list and observation
@@ -305,7 +296,7 @@ impl<'a, M: FaultModel, W: LaneWord> FaultSim<'a, M, W> {
         self.kscratch.clear();
     }
 
-    /// `true` unless `set_kernel(None)` selected the interpreter.
+    /// `true` unless `set_kernel(None)` selected the reference.
     pub fn uses_kernel(&self) -> bool {
         !self.interpreter
     }
@@ -354,8 +345,10 @@ impl<'a, M: FaultModel, W: LaneWord> FaultSim<'a, M, W> {
     /// the last completed batch, so the simulator is in a clean state to
     /// checkpoint or resume.
     ///
-    /// Shards are graded under panic containment (bounded retries, then
-    /// serial degrade) and poll the token every 64 faults.
+    /// Kernel shards are graded under panic containment (bounded
+    /// retries, then serial degrade) and poll the token every 64 faults;
+    /// the serial reference is polled at batch entry and before the
+    /// merge only.
     pub fn try_run_batch(&mut self, frame: M::Frame<'_, W>, num_patterns: usize) -> Option<usize> {
         let cancel = self.cancel.as_ref();
         if cancel.is_some_and(|c| c.is_cancelled()) {
@@ -387,13 +380,6 @@ impl<'a, M: FaultModel, W: LaneWord> FaultSim<'a, M, W> {
             return Some(0);
         }
 
-        // In auto mode each worker must own a meaningful shard:
-        // dispatching pool tasks for a handful of survivors (late batches
-        // after compaction) would cost more than the grading itself. An
-        // explicit budget is honoured exactly.
-        let min_shard = self.threads_auto.then_some(M::MIN_SHARD_FAULTS);
-        let workers = lbist_exec::worker_budget(self.threads, n_active, min_shard);
-
         // One detect span covers dispatch, retries, and the serial merge
         // below (it records on every exit path, cancelled included — a
         // discarded batch still spent the time).
@@ -401,8 +387,13 @@ impl<'a, M: FaultModel, W: LaneWord> FaultSim<'a, M, W> {
         let cc = self.cc;
         let model = &self.model;
         let batch = Batch { cc, faults: &self.faults, frame, good: &self.good, lane_mask, cancel };
-        let policy = RetryPolicy::default();
         if let (Some(prog), Some(plan)) = (&self.kernel, &self.kplan) {
+            // In auto mode each worker must own a meaningful shard:
+            // dispatching pool tasks for a handful of survivors (late
+            // batches after compaction) would cost more than the grading
+            // itself. An explicit budget is honoured exactly.
+            let min_shard = self.threads_auto.then_some(M::MIN_SHARD_FAULTS);
+            let workers = lbist_exec::worker_budget(self.threads, n_active, min_shard);
             lbist_exec::resilient_chunks_with_scratch(
                 &self.active,
                 &mut self.batch_det,
@@ -412,20 +403,11 @@ impl<'a, M: FaultModel, W: LaneWord> FaultSim<'a, M, W> {
                 |shard, out, scratch| {
                     model.kernel_grade_shard(prog, plan, &batch, shard, scratch, out)
                 },
-                &policy,
+                &RetryPolicy::default(),
                 cancel,
             );
         } else {
-            lbist_exec::resilient_chunks_with_scratch(
-                &self.active,
-                &mut self.batch_det,
-                workers,
-                &mut self.scratch,
-                || M::scratch(cc),
-                |shard, out, scratch| model.grade_shard(&batch, shard, scratch, out),
-                &policy,
-                cancel,
-            );
+            model.reference(&batch, &self.active, &mut self.batch_det);
         }
         if cancel.is_some_and(|c| c.is_cancelled()) {
             // Unwind cleanly: the half-graded batch is discarded whole.

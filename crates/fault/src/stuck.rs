@@ -3,9 +3,9 @@
 //! graded by the shared [`FaultSim`] engine.
 
 use crate::kernel::{kernel_grade_shard, KernelScratch, StuckKernelPlan};
-use crate::propagate::{inject_stuck_at, Propagator};
+use crate::propagate::Propagator;
 use crate::sim::engine::{Batch, Engine};
-use crate::sim::{FaultModel, FaultSim, CANCEL_POLL_STRIDE};
+use crate::sim::{FaultModel, FaultSim};
 use crate::Fault;
 use lbist_exec::LaneWord;
 use lbist_netlist::{GateKind, NodeId};
@@ -78,7 +78,6 @@ impl FaultModel for StuckAt {
 
 impl Engine for StuckAt {
     type Frame<'f, W: LaneWord + 'f> = &'f mut [W];
-    type Scratch<W: LaneWord> = Propagator<W>;
     type Plan = StuckKernelPlan;
     const MIN_SHARD_FAULTS: usize = 64;
 
@@ -118,51 +117,21 @@ impl Engine for StuckAt {
         StuckKernelPlan::build(prog, cc, faults, &self.observed)
     }
 
-    fn scratch<W: LaneWord>(cc: &CompiledCircuit) -> Propagator<W> {
-        Propagator::new(cc)
-    }
-
-    /// Grades one shard against the shared fault-free frame: inject the
-    /// fault, propagate it event-driven, and OR every observed
-    /// difference into its detection word. Reads only shared state, so
-    /// shard scheduling cannot affect results.
-    fn grade_shard<W: LaneWord>(
-        &self,
-        batch: &Batch<'_, W>,
-        shard: &[u32],
-        prop: &mut Propagator<W>,
-        out: &mut [W],
-    ) {
-        debug_assert_eq!(shard.len(), out.len());
-        let Batch { cc, faults, frame, lane_mask, cancel, .. } = *batch;
-        let observed = &self.observed;
-        for (i, (&fault_idx, slot)) in shard.iter().zip(out.iter_mut()).enumerate() {
-            if i % CANCEL_POLL_STRIDE == 0 && cancel.is_some_and(|c| c.is_cancelled()) {
-                return;
-            }
-            let fault = faults[fault_idx as usize];
+    /// Injects and propagates each fault with the same [`Propagator`]
+    /// routine TPI's [`crate::propagate_fault`] runs, ORing the diffs
+    /// that reach an observed node or a flip-flop site (a `D`-pin fault,
+    /// captured directly) into its detection word.
+    fn reference<W: LaneWord>(&self, batch: &Batch<'_, W>, active: &[u32], out: &mut [W]) {
+        let Batch { cc, faults, frame, lane_mask, .. } = *batch;
+        let mut prop = Propagator::new(cc);
+        for (&fault_idx, slot) in active.iter().zip(out.iter_mut()) {
             let mut detected = W::zero();
-            if let Some((site, word)) = inject_stuck_at(cc, &fault, frame) {
-                if cc.kind(site) == GateKind::Dff {
-                    // D-pin branch fault: the pin is captured directly.
-                    let src = cc.fanins(site)[0];
-                    detected = word.xor(frame[src.index()]).and(lane_mask);
-                } else {
-                    prop.begin();
-                    prop.set(site, word);
-                    if observed[site.index()] {
-                        detected = detected.or(word.xor(frame[site.index()]).and(lane_mask));
-                    }
-                    prop.enqueue_fanouts(cc, site);
-                    let det = &mut detected;
-                    prop.run(cc, frame, None, |node, diff| {
-                        if observed[node.index()] {
-                            *det = det.or(diff.and(lane_mask));
-                        }
-                    });
+            prop.stuck_at(cc, &faults[fault_idx as usize], frame, |node, diff| {
+                if self.observed[node.index()] || cc.kind(node) == GateKind::Dff {
+                    detected = detected.or(diff);
                 }
-            }
-            *slot = detected;
+            });
+            *slot = detected.and(lane_mask);
         }
     }
 
@@ -203,8 +172,7 @@ mod tests {
 
     /// Brute-force reference: a (stem) fault is detected by a pattern iff
     /// the faulty circuit's observed outputs differ from the good
-    /// circuit's. Faulty evaluation walks the schedule topologically,
-    /// pinning the fault site after every step.
+    /// circuit's, evaluated with the fault site held at its stuck value.
     fn reference_detected(nl: &Netlist, fault: &Fault, assignments: &[(NodeId, bool)]) -> bool {
         assert!(fault.is_stem(), "reference supports stem faults");
         let cc = CompiledCircuit::compile(nl).unwrap();
@@ -215,13 +183,9 @@ mod tests {
                 frame[n.index()] = if v { !0 } else { 0 };
             }
             if faulty {
-                frame[fault.node.index()] = forced;
-            }
-            for &node in cc.schedule() {
-                frame[node.index()] = cc.eval_node2(node, &frame);
-                if faulty && node == fault.node {
-                    frame[node.index()] = forced;
-                }
+                cc.eval2_forced(&mut frame, fault.node, forced);
+            } else {
+                cc.eval2(&mut frame);
             }
             cc.outputs().iter().map(|&o| frame[o.index()] & 1 == 1).collect()
         };

@@ -28,14 +28,15 @@
 //! frames are computed once per batch and shared read-only; each worker
 //! replays faults from its shard over the compiled kernel with its own
 //! flip-flop overlay, so parallel and serial coverage are bit-identical.
-//! The [`Propagator`] replay here is the interpreter reference the
-//! kernel replay is diffed against.
+//! The serial [`Propagator`] replay here, which simulates every frame of
+//! the window for every fault, is the reference the kernel replay is
+//! diffed against.
 
 use crate::kernel::{kernel_replay_shard, KernelScratch, TransitionKernelPlan};
 use crate::propagate::Propagator;
 use crate::sim::engine::{Batch, Engine};
-use crate::sim::{FaultModel, FaultSim, CANCEL_POLL_STRIDE};
-use crate::Fault;
+use crate::sim::{FaultModel, FaultSim};
+use crate::{Fault, FaultKind};
 use lbist_exec::LaneWord;
 use lbist_netlist::{DomainId, NodeId};
 use lbist_sim::{CompiledCircuit, KernelProgram};
@@ -125,23 +126,6 @@ impl CaptureWindow {
     }
 }
 
-/// Thread-local replay scratch for one worker: event-driven propagation
-/// state plus the per-fault flip-flop overlay, reused across faults and
-/// batches.
-#[derive(Debug)]
-pub struct ReplayScratch<W: LaneWord> {
-    prop: Propagator<W>,
-    /// Flip-flops currently holding a faulty word for the fault being
-    /// replayed.
-    overlay: HashMap<NodeId, W>,
-    /// Per-frame seed of overlay flip-flops that differ from the
-    /// fault-free frame (rebuilt each frame without allocating).
-    dirty: Vec<(NodeId, W)>,
-    /// Per-at-speed-frame activation words of the fault being replayed
-    /// (indexed by frame, reused across faults without allocating).
-    activation: Vec<W>,
-}
-
 /// The launch-on-capture transition model across a [`CaptureWindow`]:
 /// stem slow-to-rise / slow-to-fall faults, detected when a launched
 /// transition at the site is caught late and the wrong value reaches a
@@ -149,6 +133,17 @@ pub struct ReplayScratch<W: LaneWord> {
 #[derive(Debug)]
 pub struct Transition {
     window: CaptureWindow,
+}
+
+/// The lanes on which a launch that moves the site from `prev` to `cur`
+/// makes the slow transition of a `kind` fault.
+#[inline]
+pub(crate) fn activation<W: LaneWord>(kind: FaultKind, prev: W, cur: W) -> W {
+    match kind {
+        FaultKind::SlowToRise => prev.not().and(cur),
+        FaultKind::SlowToFall => prev.and(cur.not()),
+        _ => unreachable!("{kind:?} is not a transition fault"),
+    }
 }
 
 impl<'a, W: LaneWord> FaultSim<'a, Transition, W> {
@@ -174,7 +169,6 @@ impl FaultModel for Transition {
 
 impl Engine for Transition {
     type Frame<'f, W: LaneWord + 'f> = &'f [W];
-    type Scratch<W: LaneWord> = ReplayScratch<W>;
     type Plan = TransitionKernelPlan;
     /// Window replay is heavier per fault than single-frame PPSFP, so
     /// the threshold is lower than stuck-at's.
@@ -240,141 +234,61 @@ impl Engine for Transition {
         TransitionKernelPlan::build(prog, cc, faults)
     }
 
-    fn scratch<W: LaneWord>(cc: &CompiledCircuit) -> ReplayScratch<W> {
-        ReplayScratch {
-            prop: Propagator::new(cc),
-            overlay: HashMap::new(),
-            dirty: Vec::new(),
-            activation: Vec::new(),
-        }
-    }
-
-    /// Replays one shard of active faults across the capture window,
-    /// writing each fault's multi-lane detection word into `out`. Reads
-    /// only the shared fault-free frames; all mutable state is the
-    /// worker's own scratch, so shard scheduling cannot affect results.
-    fn grade_shard<W: LaneWord>(
-        &self,
-        batch: &Batch<'_, W>,
-        shard: &[u32],
-        scratch: &mut ReplayScratch<W>,
-        out: &mut [W],
-    ) {
-        debug_assert_eq!(shard.len(), out.len());
-        let Batch { cc, faults, good: good_frames, lane_mask, cancel, .. } = *batch;
+    /// Replays the whole window for each fault, frame by frame: the
+    /// flip-flops holding a faulty word seed the frame's propagation, and
+    /// so does the site, pinned at `value(site) ^ act` in an at-speed
+    /// frame whose launch activates the fault on lanes `act`. Each
+    /// capture updates the faulty flip-flop state; the fault is detected
+    /// where the end-of-window state differs from the fault-free one.
+    fn reference<W: LaneWord>(&self, batch: &Batch<'_, W>, active: &[u32], out: &mut [W]) {
+        let Batch { cc, faults, good: good_frames, lane_mask, .. } = *batch;
         let window = &self.window;
         let nframes = window.num_frames();
-        for (i, (&fault_idx, slot)) in shard.iter().zip(out.iter_mut()).enumerate() {
-            if i % CANCEL_POLL_STRIDE == 0 && cancel.is_some_and(|c| c.is_cancelled()) {
-                return;
-            }
+        let mut prop = Propagator::new(cc);
+        for (&fault_idx, slot) in active.iter().zip(out.iter_mut()) {
             let fault = faults[fault_idx as usize];
             let site = fault.node;
-            // Per-fault overlay of flip-flop states (faulty words).
-            scratch.overlay.clear();
-
-            // Precompute the activation word of every at-speed frame: where
-            // the launch pulse actually creates the fault's slow transition
-            // at the site. Frames belonging to clock domains whose launch
-            // never touches the site are inert for this fault, so the replay
-            // can skip straight to the first active frame, and stop after the
-            // last one once no faulty flip-flop state is left to carry — the
-            // common case where only one domain is dirty then replays a
-            // couple of frames instead of the whole window.
-            scratch.activation.clear();
-            scratch.activation.resize(nframes, W::zero());
-            let mut first_active = usize::MAX;
-            let mut last_active = 0usize;
+            // Flip-flops holding a faulty word.
+            let mut overlay: HashMap<NodeId, W> = HashMap::new();
             for frame in 0..nframes {
-                if !window.is_at_speed_frame(frame) {
-                    continue;
-                }
-                let prev = good_frames[frame - 1][site.index()];
-                let cur = good_frames[frame][site.index()];
-                let act = (match fault.kind {
-                    crate::FaultKind::SlowToRise => prev.not().and(cur),
-                    crate::FaultKind::SlowToFall => prev.and(cur.not()),
-                    _ => unreachable!(),
-                })
-                .and(lane_mask);
-                if !act.is_zero() {
-                    scratch.activation[frame] = act;
-                    first_active = first_active.min(frame);
-                    last_active = frame;
-                }
-            }
-            if first_active == usize::MAX {
-                // No launch excites the fault anywhere in the window.
-                *slot = W::zero();
-                continue;
-            }
-
-            for frame in first_active..nframes {
-                let act = scratch.activation[frame];
-                if act.is_zero() && frame > last_active && scratch.overlay.is_empty() {
-                    // Every remaining frame is activation-free and no faulty
-                    // state survives: the rest of the window is fault-free.
-                    break;
-                }
-
-                scratch.dirty.clear();
-                for (&ff, &word) in &scratch.overlay {
-                    let good = good_frames[frame][ff.index()];
-                    if word != good {
-                        scratch.dirty.push((ff, word));
-                    }
-                }
-                if act.is_zero() && scratch.dirty.is_empty() {
-                    continue; // nothing differs in this frame
-                }
-
-                scratch.prop.begin();
-                for &(ff, word) in &scratch.dirty {
-                    scratch.prop.set(ff, word);
-                    scratch.prop.enqueue_fanouts(cc, ff);
-                }
-                if !act.is_zero() {
-                    // The site's faulty value: good with the launched
-                    // transition undone on activated lanes. (If the site is
-                    // also downstream of a dirty FF the propagation below may
-                    // reach it; injecting before running keeps level order
-                    // intact because the site's level precedes its fanouts,
-                    // and the pin below keeps the injected value
-                    // authoritative.)
-                    let cur = scratch.prop.value(site, &good_frames[frame]);
-                    scratch.prop.set(site, cur.xor(act));
-                    scratch.prop.enqueue_fanouts(cc, site);
-                }
                 let good = &good_frames[frame];
-                let pin = if act.is_zero() { None } else { Some(site) };
-                scratch.prop.run(cc, good, pin, |_, _| {});
+                prop.begin();
+                for (&ff, &word) in &overlay {
+                    prop.set(ff, word);
+                    prop.enqueue_fanouts(cc, ff);
+                }
+                let act = if window.is_at_speed_frame(frame) {
+                    let prev = good_frames[frame - 1][site.index()];
+                    activation(fault.kind, prev, good[site.index()]).and(lane_mask)
+                } else {
+                    W::zero()
+                };
+                let mut pin = None;
+                if !act.is_zero() {
+                    prop.set(site, prop.value(site, good).xor(act));
+                    prop.enqueue_fanouts(cc, site);
+                    pin = Some(site);
+                }
+                prop.run(cc, good, pin, |_, _| {});
 
-                // Frame boundary: capture.
                 if let Some(dom) = window.capturing_domain(frame) {
                     for (i, &ff) in cc.dffs().iter().enumerate() {
                         if cc.dff_domain(i) != dom {
                             continue;
                         }
-                        let d_src = cc.fanins(ff)[0];
-                        let faulty_d = scratch.prop.value(d_src, good);
-                        let good_next = good_frames[frame + 1][ff.index()];
-                        if faulty_d != good_next {
-                            scratch.overlay.insert(ff, faulty_d);
+                        let faulty_d = prop.value(cc.fanins(ff)[0], good);
+                        if faulty_d != good_frames[frame + 1][ff.index()] {
+                            overlay.insert(ff, faulty_d);
                         } else {
-                            scratch.overlay.remove(&ff);
+                            overlay.remove(&ff);
                         }
                     }
                 }
             }
-
-            // Detection: any flip-flop whose final state differs is shifted
-            // out through the MISR.
-            let final_frame = &good_frames[nframes - 1];
-            let mut detected = W::zero();
-            for (&ff, &word) in &scratch.overlay {
-                detected = detected.or(word.xor(final_frame[ff.index()]).and(lane_mask));
-            }
-            *slot = detected;
+            let last = &good_frames[nframes - 1];
+            let detected =
+                overlay.iter().fold(W::zero(), |d, (&ff, &word)| d.or(word.xor(last[ff.index()])));
+            *slot = detected.and(lane_mask);
         }
     }
 
@@ -399,7 +313,6 @@ impl Engine for Transition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FaultKind;
     use lbist_netlist::{DomainId, GateKind, Netlist};
 
     /// ff_a -> NOT -> ff_b, both domain 0. Scan in ff_a=0: C1 captures
@@ -415,6 +328,21 @@ mod tests {
         (nl, pi, ff_a, inv, ff_b)
     }
 
+    /// A simulator on the compiled kernel (the default) or, with
+    /// `kernel == false`, on the serial reference.
+    fn sim_on(
+        cc: &CompiledCircuit,
+        faults: Vec<Fault>,
+        window: CaptureWindow,
+        kernel: bool,
+    ) -> TransitionSim<'_> {
+        let mut sim = TransitionSim::new(cc, faults, window);
+        if !kernel {
+            sim.set_kernel(None);
+        }
+        sim
+    }
+
     #[test]
     fn single_capture_cannot_detect_transitions() {
         // With only ONE pulse (model: window where the domain appears but we
@@ -425,50 +353,59 @@ mod tests {
         // window is undetected.
         let (nl, pi, ff_a, inv, _ff_b) = inv_pipe();
         let cc = CompiledCircuit::compile(&nl).unwrap();
-        let w = CaptureWindow::all_domains(1);
-        let faults = vec![Fault::stem(inv, FaultKind::SlowToRise)];
-        let mut sim = TransitionSim::new(&cc, faults, w);
         let mut base = cc.new_frame();
         // pi=0 and ff_a=0: inv=1 stays 1 all window -> no rising transition
         // at inv; STR cannot be excited.
         base[pi.index()] = 0;
         base[ff_a.index()] = 0;
-        sim.run_batch(&base, 4);
-        assert_eq!(sim.detections()[0], 0);
+        for kernel in [true, false] {
+            let faults = vec![Fault::stem(inv, FaultKind::SlowToRise)];
+            let mut sim = sim_on(&cc, faults, CaptureWindow::all_domains(1), kernel);
+            sim.run_batch(&base, 4);
+            assert_eq!(sim.detections()[0], 0, "kernel: {kernel}");
+        }
     }
 
     #[test]
     fn launch_on_capture_detects_slow_to_rise() {
         let (nl, pi, ff_a, inv, _ff_b) = inv_pipe();
         let cc = CompiledCircuit::compile(&nl).unwrap();
-        let w = CaptureWindow::all_domains(1);
-        let faults = vec![Fault::stem(inv, FaultKind::SlowToRise)];
-        let mut sim = TransitionSim::new(&cc, faults, w);
         let mut base = cc.new_frame();
         // Scan state: ff_a=1 (inv=0). PI=0, so C1 captures ff_a=0, making
         // inv rise 0->1 in the at-speed frame; C2 should capture ff_b=1 but
         // the slow-to-rise keeps inv at 0 -> ff_b captures 0. Detected.
         base[pi.index()] = 0;
         base[ff_a.index()] = !0;
-        sim.run_batch(&base, 8);
-        assert_eq!(sim.detections()[0], 8, "STR detected in every lane");
+        for kernel in [true, false] {
+            let faults = vec![Fault::stem(inv, FaultKind::SlowToRise)];
+            let mut sim = sim_on(&cc, faults, CaptureWindow::all_domains(1), kernel);
+            sim.run_batch(&base, 8);
+            assert_eq!(sim.detections()[0], 8, "STR detected in every lane (kernel: {kernel})");
+        }
     }
 
     #[test]
     fn slow_to_fall_needs_falling_launch() {
         let (nl, pi, ff_a, inv, _ff_b) = inv_pipe();
         let cc = CompiledCircuit::compile(&nl).unwrap();
-        let w = CaptureWindow::all_domains(1);
-        let faults =
-            vec![Fault::stem(inv, FaultKind::SlowToFall), Fault::stem(inv, FaultKind::SlowToRise)];
-        let mut sim = TransitionSim::new(&cc, faults, w);
         let mut base = cc.new_frame();
         // ff_a=0 (inv=1), PI=1: C1 captures ff_a=1, inv falls 1->0.
         base[pi.index()] = !0;
         base[ff_a.index()] = 0;
-        sim.run_batch(&base, 8);
-        assert_eq!(sim.detections()[0], 8, "STF detected");
-        assert_eq!(sim.detections()[1], 0, "STR not excited by a falling launch");
+        for kernel in [true, false] {
+            let faults = vec![
+                Fault::stem(inv, FaultKind::SlowToFall),
+                Fault::stem(inv, FaultKind::SlowToRise),
+            ];
+            let mut sim = sim_on(&cc, faults, CaptureWindow::all_domains(1), kernel);
+            sim.run_batch(&base, 8);
+            assert_eq!(sim.detections()[0], 8, "STF detected (kernel: {kernel})");
+            assert_eq!(
+                sim.detections()[1],
+                0,
+                "STR not excited by a falling launch (kernel: {kernel})"
+            );
+        }
     }
 
     #[test]
@@ -485,19 +422,21 @@ mod tests {
         let ff_c = nl.add_dff(buf, DomainId::new(1));
         nl.add_output("q", ff_c);
         let cc = CompiledCircuit::compile(&nl).unwrap();
-        let w = CaptureWindow::all_domains(2);
-        let faults = vec![Fault::stem(inv, FaultKind::SlowToRise)];
-        let mut sim = TransitionSim::new(&cc, faults, w);
         let mut base = cc.new_frame();
         base[pi.index()] = 0;
         base[ff_a.index()] = !0; // launch a rise at inv
-        sim.run_batch(&base, 1);
-        assert_eq!(sim.detections()[0], 1);
+        for kernel in [true, false] {
+            let faults = vec![Fault::stem(inv, FaultKind::SlowToRise)];
+            let mut sim = sim_on(&cc, faults, CaptureWindow::all_domains(2), kernel);
+            sim.run_batch(&base, 1);
+            assert_eq!(sim.detections()[0], 1, "kernel: {kernel}");
+        }
     }
 
     /// A fault activated only by the *last* domain's launch is still
-    /// graded correctly when the replay fast-forwards over the earlier
-    /// domains' inert frames.
+    /// graded correctly when the kernel replay fast-forwards over the
+    /// earlier domains' inert frames, as by the reference, which replays
+    /// them all.
     #[test]
     fn late_domain_activation_survives_frame_skipping() {
         let mut nl = Netlist::new("late");
@@ -511,18 +450,29 @@ mod tests {
         let ff_b = nl.add_dff(inv, DomainId::new(1));
         nl.add_output("q1", ff_b);
         let cc = CompiledCircuit::compile(&nl).unwrap();
-        let w = CaptureWindow::all_domains(2);
-        let faults =
-            vec![Fault::stem(inv, FaultKind::SlowToRise), Fault::stem(inv, FaultKind::SlowToFall)];
-        let mut sim = TransitionSim::new(&cc, faults, w);
         let mut base = cc.new_frame();
         // ff_a=1 (inv=0), pi=0: domain 1's launch captures ff_a=0, so inv
         // rises 0->1 only in domain 1's at-speed frame (the window's last).
         base[pi.index()] = 0;
         base[ff_a.index()] = !0;
-        sim.run_batch(&base, 8);
-        assert_eq!(sim.detections()[0], 8, "STR detected despite inert domain-0 frames");
-        assert_eq!(sim.detections()[1], 0, "STF never excited anywhere in the window");
+        for kernel in [true, false] {
+            let faults = vec![
+                Fault::stem(inv, FaultKind::SlowToRise),
+                Fault::stem(inv, FaultKind::SlowToFall),
+            ];
+            let mut sim = sim_on(&cc, faults, CaptureWindow::all_domains(2), kernel);
+            sim.run_batch(&base, 8);
+            assert_eq!(
+                sim.detections()[0],
+                8,
+                "STR detected despite inert domain-0 frames (kernel: {kernel})"
+            );
+            assert_eq!(
+                sim.detections()[1],
+                0,
+                "STF never excited anywhere in the window (kernel: {kernel})"
+            );
+        }
     }
 
     #[test]

@@ -214,6 +214,20 @@ impl CompiledCircuit {
         }
     }
 
+    /// [`CompiledCircuit::eval2`] with `node` held at `word`: the frame of
+    /// the circuit with a stem fault forcing `node`, the brute-force
+    /// reference fault simulation is checked against. A source `node`
+    /// overrides its loaded word; a scheduled one is never evaluated.
+    pub fn eval2_forced<W: LaneWord>(&self, values: &mut [W], node: NodeId, word: W) {
+        debug_assert_eq!(values.len(), self.num_nodes);
+        values[node.index()] = word;
+        for &n in &self.schedule {
+            if n != node {
+                values[n.index()] = self.eval_node2(n, values);
+            }
+        }
+    }
+
     /// Evaluates into a caller-owned destination frame, leaving `base`
     /// untouched: `dst` is overwritten with `base`'s source words and then
     /// evaluated in place. Lets batch simulators derive evaluated frames

@@ -355,25 +355,6 @@ impl KernelProgram {
         prog
     }
 
-    /// [`KernelProgram::lower`] with telemetry: records the lowering
-    /// wall time into the `sim.kernel.compile_ns` histogram and the
-    /// program shape into the `sim.kernel.instrs` /
-    /// `sim.kernel.fused_gates` counters of `registry`.
-    pub fn lower_with_metrics(
-        cc: &CompiledCircuit,
-        keep: &[bool],
-        registry: &lbist_obs::Registry,
-    ) -> KernelProgram {
-        let t0 = std::time::Instant::now();
-        let prog = Self::lower(cc, keep);
-        registry
-            .histogram("sim.kernel.compile_ns")
-            .record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        registry.counter("sim.kernel.instrs").add(prog.stats.instrs as u64);
-        registry.counter("sim.kernel.fused_gates").add(prog.stats.fused_gates as u64);
-        prog
-    }
-
     fn emit(&mut self, dst: usize, op: Op, a: u32, b: u32, c: u32) {
         self.instr_of_node[dst] = self.instrs.len() as u32;
         self.instrs.push(Instr { dst: dst as u32, a, b, c, op });
@@ -1085,16 +1066,5 @@ mod tests {
         assert_eq!(materialized, prog.num_instrs());
         assert_eq!(fused, prog.stats().fused_gates);
         assert_eq!(prog.backend(), KernelBackend::Bytecode);
-    }
-
-    /// Telemetry lowering records compile time and shape counters.
-    #[test]
-    fn lower_with_metrics_records() {
-        let nl = mixed_netlist();
-        let cc = CompiledCircuit::compile(&nl).unwrap();
-        let registry = lbist_obs::Registry::new();
-        let prog = KernelProgram::lower_with_metrics(&cc, &vec![true; cc.num_nodes()], &registry);
-        assert_eq!(registry.counter("sim.kernel.instrs").value(), prog.num_instrs() as u64);
-        assert_eq!(registry.histogram("sim.kernel.compile_ns").count(), 1);
     }
 }

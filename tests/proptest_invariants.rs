@@ -151,13 +151,9 @@ proptest! {
                     fr[pi.index()] = if v { !0 } else { 0 };
                 }
                 if faulty {
-                    fr[fault.node.index()] = forced;
-                }
-                for &node in cc.schedule() {
-                    fr[node.index()] = cc.eval_node2(node, &fr);
-                    if faulty && node == fault.node {
-                        fr[node.index()] = forced;
-                    }
+                    cc.eval2_forced(&mut fr, fault.node, forced);
+                } else {
+                    cc.eval2(&mut fr);
                 }
                 cc.outputs().iter().map(|&o| fr[o.index()] & 1 == 1).collect()
             };
@@ -167,23 +163,16 @@ proptest! {
     }
 
     /// Sharded stuck-at grading reports coverage bit-identical to serial
-    /// grading on arbitrary netlists, on either engine — the determinism
-    /// contract of the parallel fault-simulation engine.
+    /// grading on arbitrary netlists — the determinism contract of the
+    /// parallel fault-simulation engine.
     #[test]
-    fn parallel_stuck_at_coverage_equals_serial(
-        nl in arb_comb_netlist(),
-        stim: u64,
-        interpreter: bool,
-    ) {
+    fn parallel_stuck_at_coverage_equals_serial(nl in arb_comb_netlist(), stim: u64) {
         let cc = CompiledCircuit::compile(&nl).unwrap();
         let universe = FaultUniverse::stuck_at(&nl);
         let observed = StuckAtSim::observe_all_captures(&cc);
         let run = |threads: usize| {
             let mut sim = StuckAtSim::new(&cc, universe.representatives(), observed.clone());
             sim.set_threads(threads);
-            if interpreter {
-                sim.set_kernel(None);
-            }
             let mut s = stim | 1;
             for batch in 0..2u64 {
                 let mut frame = cc.new_frame();
@@ -207,11 +196,7 @@ proptest! {
     /// The same contract for launch-on-capture transition grading on
     /// random sequential netlists with two clock domains.
     #[test]
-    fn parallel_transition_coverage_equals_serial(
-        nl in arb_seq_netlist(),
-        stim: u64,
-        interpreter: bool,
-    ) {
+    fn parallel_transition_coverage_equals_serial(nl in arb_seq_netlist(), stim: u64) {
         let cc = CompiledCircuit::compile(&nl).unwrap();
         let faults: Vec<Fault> = nl
             .ids()
@@ -227,9 +212,6 @@ proptest! {
         let run = |threads: usize| {
             let mut sim = TransitionSim::new(&cc, faults.clone(), window.clone());
             sim.set_threads(threads);
-            if interpreter {
-                sim.set_kernel(None);
-            }
             let mut s = stim | 1;
             for _ in 0..2 {
                 let mut base = cc.new_frame();
